@@ -21,7 +21,7 @@ use blockchain::network::run_mining_network;
 use blockchain::pos::{run_pos, PosMode};
 use blockchain::pow::{mine_block, MiningParams};
 use blockchain::{Blockchain, Transaction};
-use consensus_core::QuorumSpec;
+use consensus_core::{ClusterDriver, QuorumSpec};
 use paxos::flexible::run_flexible;
 use paxos::livelock::run_duel;
 use paxos::{MultiPaxosCluster, RetryPolicy};
@@ -48,7 +48,7 @@ fn bench_paxos(c: &mut Criterion) {
                     1,
                 );
                 assert!(cl.run(Time::from_secs(30)));
-                cl.total_completed()
+                cl.completed_ops()
             });
         });
     }

@@ -233,14 +233,14 @@ pub fn f4_multipaxos() -> Report {
         format!(
             "mean commit latency {:.2}ms over {} commands",
             c.latencies().mean() / 1_000.0,
-            c.total_completed()
+            c.completed_ops()
         ),
     ];
     Report {
         id: "f4",
         title: "Multi-Paxos: phase 1 runs only on leader change",
         data: json!({"prepares": m.kind("prepare"), "accepts": m.kind("accept"),
-                     "completed": c.total_completed()}),
+                     "completed": c.completed_ops()}),
         lines,
     }
 }

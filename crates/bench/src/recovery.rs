@@ -21,7 +21,7 @@
 //! sequence and the sweep is deterministic — which is what lets CI pin
 //! `BENCH_recovery.json` byte-for-byte.
 
-use consensus_core::QuorumSpec;
+use consensus_core::{ClusterDriver, QuorumSpec};
 use paxos::MultiPaxosCluster;
 use raft::RaftCluster;
 use serde_json::{json, Value};

@@ -29,14 +29,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use consensus_core::driver::{
     BatchConfig, ByzantineWindow, ClusterDriver, DecidedEntry, DriverConfig,
 };
-use consensus_core::history::ClientRecord;
+use consensus_core::session::{self, ClientAdapter, Incoming, Retry, Session};
 use consensus_core::smr::Slot;
-use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder, WorkloadMode};
-use consensus_core::{Command, HistorySink, KvCommand, KvResponse, ReplicatedLog, StateMachine};
+use consensus_core::workload::WorkloadMode;
+use consensus_core::{Command, KvCommand, KvResponse, ReplicatedLog, StateMachine};
 use rand_chacha::ChaCha20Rng;
 use simnet::{
-    CausalSpan, CncPhase, Context, FilterAction, FnFilter, Metrics, NetConfig, Node, NodeId,
-    RunOutcome, Sim, Time, Timer, TimerId,
+    CncPhase, Context, FilterAction, FnFilter, NetConfig, Node, NodeId, Sim, SimView, Timer,
+    TimerId,
 };
 
 use crate::sim_crypto::{digest_of, Digest};
@@ -863,139 +863,38 @@ impl Node for PbftReplica {
     }
 }
 
+/// The PBFT side of the shared client session: requests go to the
+/// primary of view 0, a command completes on `f+1` matching replies, and a
+/// silent primary is answered after 150 ms by broadcasting every
+/// outstanding request to every replica.
+pub struct PbftAdapter;
+
+impl ClientAdapter for PbftAdapter {
+    type Msg = PbftMsg;
+    const RETRY_US: u64 = 150_000;
+    const RETRY: Retry = Retry::Broadcast;
+
+    fn request(cmd: Command<KvCommand>) -> PbftMsg {
+        PbftMsg::Request { cmd }
+    }
+
+    fn classify(msg: PbftMsg) -> Incoming {
+        match msg {
+            PbftMsg::Reply { seq, output, .. } => Incoming::Reply(seq, output),
+            _ => Incoming::Other,
+        }
+    }
+
+    fn reply_quorum(n_replicas: usize) -> usize {
+        (n_replicas - 1) / 3 + 1
+    }
+}
+
 /// A PBFT client: waits for `f+1` matching replies per request.
 /// Closed-loop by default (one outstanding request), optionally open-loop
 /// with a fixed issue interval so batching experiments can saturate the
 /// primary.
-pub struct PbftClient {
-    /// Client id == node id.
-    pub client_id: u32,
-    n_replicas: usize,
-    f: usize,
-    workload: KvWorkload,
-    total: usize,
-    mode: WorkloadMode,
-    /// Completed requests.
-    pub completed: usize,
-    /// Issued-but-unaccepted requests, by client sequence number.
-    outstanding: BTreeMap<u64, (Command<KvCommand>, Time)>,
-    /// Reply votes: seq → output digest → replicas.
-    votes: BTreeMap<u64, BTreeMap<u64, BTreeSet<NodeId>>>,
-    /// Latencies.
-    pub latencies: LatencyRecorder,
-    /// Invoke/response history for safety checking.
-    pub history: HistorySink,
-}
-
-const CLIENT_RETRY: u64 = 9;
-const CLIENT_ISSUE: u64 = 10;
-
-impl PbftClient {
-    /// Creates a closed-loop client issuing `total` commands.
-    pub fn new(client_id: u32, n_replicas: usize, total: usize, mix: KvMix, seed: u64) -> Self {
-        Self::new_with(client_id, n_replicas, total, mix, seed, WorkloadMode::Closed)
-    }
-
-    /// Creates a client with an explicit pacing mode.
-    pub fn new_with(
-        client_id: u32,
-        n_replicas: usize,
-        total: usize,
-        mix: KvMix,
-        seed: u64,
-        mode: WorkloadMode,
-    ) -> Self {
-        PbftClient {
-            client_id,
-            n_replicas,
-            f: (n_replicas - 1) / 3,
-            workload: KvWorkload::new(client_id, mix, seed),
-            total,
-            mode,
-            completed: 0,
-            outstanding: BTreeMap::new(),
-            votes: BTreeMap::new(),
-            latencies: LatencyRecorder::new(),
-            history: HistorySink::new(),
-        }
-    }
-
-    /// Whether the workload finished.
-    pub fn done(&self) -> bool {
-        self.completed >= self.total
-    }
-
-    fn issue_next(&mut self, ctx: &mut Context<PbftMsg>) {
-        if self.workload.issued() as usize >= self.total {
-            return;
-        }
-        let cmd = self.workload.next_command();
-        self.history
-            .invoke(cmd.client, cmd.seq, cmd.op.clone(), ctx.now().0);
-        self.outstanding.insert(cmd.seq, (cmd.clone(), ctx.now()));
-        // Optimistically to the (assumed) primary only.
-        ctx.send(NodeId(0), PbftMsg::Request { cmd });
-        ctx.set_timer(150_000, CLIENT_RETRY);
-    }
-}
-
-impl Node for PbftClient {
-    type Msg = PbftMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<PbftMsg>) {
-        self.issue_next(ctx);
-        if let WorkloadMode::Open { interval_us } = self.mode {
-            ctx.set_timer(interval_us.max(1), CLIENT_ISSUE);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<PbftMsg>, from: NodeId, msg: PbftMsg) {
-        if let PbftMsg::Reply { seq, output, .. } = msg {
-            if !self.outstanding.contains_key(&seq) {
-                return;
-            }
-            let key = digest_of(&output).0;
-            let votes = self.votes.entry(seq).or_default().entry(key).or_default();
-            votes.insert(from);
-            if votes.len() >= self.f + 1 {
-                let (cmd, sent_at) = self.outstanding.remove(&seq).expect("checked above");
-                self.votes.remove(&seq);
-                self.history
-                    .complete(cmd.client, cmd.seq, ctx.now().0, output);
-                self.latencies.record(sent_at, ctx.now());
-                self.completed += 1;
-                if self.mode == WorkloadMode::Closed {
-                    self.issue_next(ctx);
-                }
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<PbftMsg>, timer: Timer) {
-        match timer.kind {
-            CLIENT_RETRY if !self.outstanding.is_empty() => {
-                // Escalate: broadcast every pending request to all replicas
-                // (this is what ultimately triggers a view change when the
-                // primary is faulty).
-                for (cmd, _) in self.outstanding.values() {
-                    for r in 0..self.n_replicas {
-                        ctx.send(NodeId::from(r), PbftMsg::Request { cmd: cmd.clone() });
-                    }
-                }
-                ctx.set_timer(150_000, CLIENT_RETRY);
-            }
-            CLIENT_ISSUE => {
-                self.issue_next(ctx);
-                if let WorkloadMode::Open { interval_us } = self.mode {
-                    if (self.workload.issued() as usize) < self.total {
-                        ctx.set_timer(interval_us.max(1), CLIENT_ISSUE);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
+pub type PbftClient = session::Client<PbftAdapter>;
 
 simnet::node_enum! {
     /// A PBFT process.
@@ -1013,8 +912,6 @@ pub struct PbftCluster {
     pub sim: Sim<PbftProc>,
     /// Replica count (`3f+1`).
     pub n_replicas: usize,
-    /// Client count.
-    pub n_clients: usize,
 }
 
 impl PbftCluster {
@@ -1048,59 +945,11 @@ impl PbftCluster {
         batch: BatchConfig,
         mode: WorkloadMode,
     ) -> Self {
-        assert!(n_replicas >= 4, "PBFT needs at least 3f+1 = 4 replicas");
-        let mut sim = Sim::new(config, seed);
-        for _ in 0..n_replicas {
-            sim.add_node(PbftReplica::new_with(n_replicas, batch));
-        }
-        for c in 0..n_clients {
-            let id = (n_replicas + c) as u32;
-            sim.add_node(PbftClient::new_with(
-                id,
-                n_replicas,
-                cmds_per_client,
-                KvMix::default(),
-                seed,
-                mode,
-            ));
-        }
-        PbftCluster {
-            sim,
-            n_replicas,
-            n_clients,
-        }
-    }
-
-    /// Replaces every client's workload mix. A builder — call before the
-    /// first step; with the default mix it is a no-op, so existing runs are
-    /// untouched.
-    #[must_use]
-    pub fn with_mix(mut self, mix: KvMix) -> Self {
-        for c in 0..self.n_clients {
-            let id = NodeId::from(self.n_replicas + c);
-            if let PbftProc::Client(cl) = self.sim.node_mut(id) {
-                cl.workload.set_mix(mix);
-            }
-        }
-        self
-    }
-
-    /// Runs until clients finish or `horizon`.
-    pub fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim.run_for(10_000);
-            if self.all_done() {
-                return true;
-            }
-            if self.sim.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.all_done();
-            }
-        }
-    }
-
-    /// Whether every client finished.
-    pub fn all_done(&self) -> bool {
-        self.clients().all(|c| c.done())
+        let cfg = DriverConfig::new(n_replicas, n_clients, cmds_per_client, seed)
+            .with_net(config)
+            .with_batch(batch)
+            .with_mode(mode);
+        Self::from_config(&cfg)
     }
 
     /// Iterates over clients.
@@ -1117,22 +966,6 @@ impl PbftCluster {
             PbftProc::Replica(r) => Some(r),
             _ => None,
         })
-    }
-
-    /// Total completed commands.
-    pub fn total_completed(&self) -> usize {
-        self.clients().map(|c| c.completed).sum()
-    }
-
-    /// Aggregated latencies.
-    pub fn latencies(&self) -> LatencyRecorder {
-        let mut agg = LatencyRecorder::new();
-        for c in self.clients() {
-            for &s in c.latencies.samples() {
-                agg.record_micros(s);
-            }
-        }
-        agg
     }
 
     /// Checks that all replicas that executed a common prefix agree on the
@@ -1204,16 +1037,17 @@ const SUB_INDEX: u64 = 1 << 20;
 
 impl ClusterDriver for PbftCluster {
     fn from_config(cfg: &DriverConfig) -> Self {
-        PbftCluster::new_with(
-            cfg.n_replicas,
-            cfg.n_clients,
-            cfg.cmds_per_client,
-            cfg.net.clone(),
-            cfg.seed,
-            cfg.batch,
-            cfg.mode,
-        )
-        .with_mix(cfg.mix)
+        let n = cfg.n_replicas;
+        assert!(n >= 4, "PBFT needs at least 3f+1 = 4 replicas");
+        let mut sim = Sim::new(cfg.net.clone(), cfg.seed);
+        for _ in 0..n {
+            sim.add_node(PbftReplica::new_with(n, cfg.batch));
+        }
+        for c in 0..cfg.n_clients {
+            let (id, total) = ((n + c) as u32, cfg.cmds_per_client);
+            sim.add_node(PbftClient::new(id, n, total, cfg.mix, cfg.seed, cfg.mode));
+        }
+        PbftCluster { sim, n_replicas: n }
     }
 
     fn protocol(&self) -> &'static str {
@@ -1224,31 +1058,16 @@ impl ClusterDriver for PbftCluster {
         self.n_replicas
     }
 
-    fn now(&self) -> Time {
-        self.sim.now()
+    fn sim(&self) -> &dyn SimView {
+        &self.sim
     }
 
-    fn run_until(&mut self, at: Time) -> RunOutcome {
-        let mut guard = 0;
-        loop {
-            let outcome = self.sim.run_until(at);
-            if outcome != RunOutcome::Stopped || guard > 10_000 {
-                return outcome;
-            }
-            guard += 1;
-        }
+    fn sim_mut(&mut self) -> &mut dyn SimView {
+        &mut self.sim
     }
 
-    fn run(&mut self, horizon: Time) -> bool {
-        PbftCluster::run(self, horizon)
-    }
-
-    fn all_done(&self) -> bool {
-        PbftCluster::all_done(self)
-    }
-
-    fn completed_ops(&self) -> usize {
-        self.total_completed()
+    fn sessions(&self) -> Vec<&Session> {
+        self.clients().map(|c| &c.session).collect()
     }
 
     fn decided_log(&self) -> Vec<DecidedEntry> {
@@ -1285,50 +1104,6 @@ impl ClusterDriver for PbftCluster {
             .collect()
     }
 
-    fn history(&self) -> Vec<ClientRecord> {
-        HistorySink::merge(self.clients().map(|c| &c.history))
-    }
-
-    fn latencies(&self) -> LatencyRecorder {
-        PbftCluster::latencies(self)
-    }
-
-    fn metrics(&self) -> &Metrics {
-        self.sim.metrics()
-    }
-
-    fn enable_tracing(&mut self, site: u32) {
-        self.sim.enable_tracing(site);
-    }
-
-    fn causal_spans(&self) -> Vec<CausalSpan> {
-        self.sim.causal_spans().to_vec()
-    }
-
-    fn open_span_instances(&self) -> usize {
-        self.sim.open_instance_count()
-    }
-
-    fn crash_at(&mut self, node: NodeId, at: Time) {
-        self.sim.crash_at(node, at);
-    }
-
-    fn restart_at(&mut self, node: NodeId, at: Time) {
-        self.sim.restart_at(node, at);
-    }
-
-    fn partition_at(&mut self, at: Time, groups: Vec<Vec<NodeId>>) {
-        self.sim.partition_at(at, groups);
-    }
-
-    fn heal_at(&mut self, at: Time) {
-        self.sim.heal_at(at);
-    }
-
-    fn set_drop_prob(&mut self, p: f64) {
-        self.sim.set_drop_prob(p);
-    }
-
     fn open_byzantine_window(&mut self, kind: ByzantineWindow, node: NodeId) -> bool {
         match kind {
             ByzantineWindow::Mute => {
@@ -1354,13 +1129,13 @@ impl ClusterDriver for PbftCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{FilterAction, FnFilter};
+    use simnet::{FilterAction, FnFilter, Time};
 
     #[test]
     fn commits_requests_fault_free() {
         let mut cluster = PbftCluster::new(4, 1, 10, NetConfig::lan(), 1);
-        assert!(cluster.run(Time::from_secs(10)), "{}", cluster.total_completed());
-        assert_eq!(cluster.total_completed(), 10);
+        assert!(cluster.run(Time::from_secs(10)), "{}", cluster.completed_ops());
+        assert_eq!(cluster.completed_ops(), 10);
         assert!(cluster.check_state_agreement() >= 10);
     }
 
@@ -1399,7 +1174,7 @@ mod tests {
         let mut cluster = PbftCluster::new(4, 1, 10, NetConfig::lan(), 4);
         cluster.sim.crash_at(NodeId(3), Time::ZERO);
         assert!(cluster.run(Time::from_secs(10)));
-        assert_eq!(cluster.total_completed(), 10);
+        assert_eq!(cluster.completed_ops(), 10);
         cluster.check_state_agreement();
     }
 
@@ -1411,9 +1186,9 @@ mod tests {
         assert!(
             cluster.run(Time::from_secs(30)),
             "only {} completed",
-            cluster.total_completed()
+            cluster.completed_ops()
         );
-        assert_eq!(cluster.total_completed(), 10);
+        assert_eq!(cluster.completed_ops(), 10);
         cluster.check_state_agreement();
         let vc = cluster
             .replicas()
@@ -1438,7 +1213,7 @@ mod tests {
         assert!(
             cluster.run(Time::from_secs(60)),
             "honest primary must eventually serve: {}",
-            cluster.total_completed()
+            cluster.completed_ops()
         );
         cluster.check_state_agreement();
         // A view change happened to escape the malicious primary.
@@ -1490,7 +1265,7 @@ mod tests {
             )),
         );
         assert!(cluster.run(Time::from_secs(20)));
-        assert_eq!(cluster.total_completed(), 10);
+        assert_eq!(cluster.completed_ops(), 10);
         cluster.check_state_agreement();
     }
 
@@ -1527,7 +1302,7 @@ mod tests {
     fn multiple_clients() {
         let mut cluster = PbftCluster::new(4, 3, 10, NetConfig::lan(), 9);
         assert!(cluster.run(Time::from_secs(30)));
-        assert_eq!(cluster.total_completed(), 30);
+        assert_eq!(cluster.completed_ops(), 30);
         cluster.check_state_agreement();
     }
 
@@ -1536,7 +1311,7 @@ mod tests {
         let run = |seed| {
             let mut cluster = PbftCluster::new(4, 1, 10, NetConfig::lan(), seed);
             cluster.run(Time::from_secs(10));
-            (cluster.total_completed(), cluster.sim.metrics().sent)
+            (cluster.completed_ops(), cluster.sim.metrics().sent)
         };
         assert_eq!(run(11), run(11));
     }
@@ -1615,9 +1390,9 @@ mod tests {
         assert!(
             cluster.run(Time::from_secs(60)),
             "only {} completed",
-            cluster.total_completed()
+            cluster.completed_ops()
         );
-        assert_eq!(cluster.total_completed(), 10);
+        assert_eq!(cluster.completed_ops(), 10);
         cluster.check_state_agreement();
     }
 
@@ -1635,7 +1410,7 @@ mod tests {
             WorkloadMode::Open { interval_us: 200 },
         );
         assert!(cluster.run(Time::from_secs(30)));
-        assert_eq!(cluster.total_completed(), 60);
+        assert_eq!(cluster.completed_ops(), 60);
         cluster.check_state_agreement();
         let h = &cluster.sim.metrics().batch_size;
         assert!(

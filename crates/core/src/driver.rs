@@ -17,9 +17,10 @@
 
 use std::collections::BTreeSet;
 
-use crate::history::ClientRecord;
+use crate::history::{ClientRecord, HistorySink};
+use crate::session::Session;
 use crate::workload::{KvMix, LatencyRecorder, WorkloadMode};
-use simnet::{CausalSpan, Metrics, NetConfig, NodeId, RunOutcome, Time};
+use simnet::{CausalSpan, Metrics, NetConfig, NodeId, RunOutcome, SimView, Time};
 
 /// Batching and pipelining configuration shared by the SMR protocols.
 ///
@@ -188,7 +189,11 @@ pub enum ByzantineWindow {
 /// knowing which protocol it is.
 ///
 /// Implementations wrap a concrete `Sim` plus its replica/client node set;
-/// all methods are deterministic given the construction config.
+/// all methods are deterministic given the construction config. A protocol
+/// supplies construction, its name, the two harvests that read replica
+/// state, and two accessors: the simulation as a [`SimView`] and its
+/// clients' [`Session`]s. Stepping, the clock, metrics, tracing, the fault
+/// hooks and the client-side harvests are the one shared run loop below.
 pub trait ClusterDriver {
     /// Constructs the cluster from a [`DriverConfig`] — the construct-from-
     /// seed half of the API. Not dyn-dispatchable; generic call sites (the
@@ -204,22 +209,14 @@ pub trait ClusterDriver {
     /// Number of replica nodes (clients have higher ids).
     fn n_replicas(&self) -> usize;
 
-    /// Current simulated time.
-    fn now(&self) -> Time;
+    /// The underlying simulation.
+    fn sim(&self) -> &dyn SimView;
 
-    /// Advances the simulation to (at least) `at`, pushing through node
-    /// stops. Returns the last outcome observed.
-    fn run_until(&mut self, at: Time) -> RunOutcome;
+    /// The underlying simulation, mutably.
+    fn sim_mut(&mut self) -> &mut dyn SimView;
 
-    /// Runs until every client finished or `horizon` passes; returns whether
-    /// all clients completed.
-    fn run(&mut self, horizon: Time) -> bool;
-
-    /// Whether every client completed its workload.
-    fn all_done(&self) -> bool;
-
-    /// Total commands completed across clients.
-    fn completed_ops(&self) -> usize;
+    /// Every client's session, in node order.
+    fn sessions(&self) -> Vec<&Session>;
 
     /// Every decided log entry on every replica, for the agreement /
     /// validity / integrity checkers.
@@ -228,8 +225,53 @@ pub trait ClusterDriver {
     /// `(node, applied_prefix_len, state digest)` per replica.
     fn state_digests(&self) -> Vec<(u32, u64, u64)>;
 
+    /// Current simulated time.
+    fn now(&self) -> Time {
+        self.sim().now()
+    }
+
+    /// Advances the simulation to (at least) `at`, pushing through node
+    /// stops. Returns the last outcome observed.
+    fn run_until(&mut self, at: Time) -> RunOutcome {
+        let mut guard = 0;
+        loop {
+            let outcome = self.sim_mut().run_until(at);
+            if outcome != RunOutcome::Stopped || guard > 10_000 {
+                return outcome;
+            }
+            guard += 1;
+        }
+    }
+
+    /// Runs in 10 ms steps until every client finished, the simulation
+    /// went quiescent, or `horizon` passed; returns whether all clients
+    /// completed.
+    fn run(&mut self, horizon: Time) -> bool {
+        loop {
+            let outcome = self.sim_mut().run_for(10_000);
+            if self.all_done() {
+                return true;
+            }
+            if self.now() >= horizon || outcome == RunOutcome::Quiescent {
+                return self.all_done();
+            }
+        }
+    }
+
+    /// Whether every client completed its workload.
+    fn all_done(&self) -> bool {
+        self.sessions().iter().all(|s| s.done())
+    }
+
+    /// Total commands completed across clients.
+    fn completed_ops(&self) -> usize {
+        self.sessions().iter().map(|s| s.completed).sum()
+    }
+
     /// The merged invoke/response history across all clients.
-    fn history(&self) -> Vec<ClientRecord>;
+    fn history(&self) -> Vec<ClientRecord> {
+        HistorySink::merge(self.sessions().into_iter().map(|s| &s.history))
+    }
 
     /// The set of `(client, seq)` operations clients actually issued.
     fn issued(&self) -> BTreeSet<(u32, u64)> {
@@ -237,50 +279,69 @@ pub trait ClusterDriver {
     }
 
     /// Aggregated request → reply latencies across clients.
-    fn latencies(&self) -> LatencyRecorder;
+    fn latencies(&self) -> LatencyRecorder {
+        let mut agg = LatencyRecorder::new();
+        for s in self.sessions() {
+            for &us in s.latencies.samples() {
+                agg.record_micros(us);
+            }
+        }
+        agg
+    }
 
     /// Network/timer/span metrics of the underlying simulation.
-    fn metrics(&self) -> &Metrics;
+    fn metrics(&self) -> &Metrics {
+        self.sim().metrics()
+    }
 
     // ---- tracing hooks ---------------------------------------------------
 
     /// Enables causal tracing on the underlying simulation. `site` tags the
     /// span ids this cluster mints, so traces from several clusters (e.g.
-    /// the shards of a store) merge without id collisions. Off by default;
-    /// drivers without tracing support may ignore the call.
+    /// the shards of a store) merge without id collisions. Off by default.
     fn enable_tracing(&mut self, site: u32) {
-        let _ = site;
+        self.sim_mut().enable_tracing(site);
     }
 
     /// Every causal span recorded since tracing was enabled (empty when
-    /// tracing is off or unsupported).
+    /// tracing is off).
     fn causal_spans(&self) -> Vec<CausalSpan> {
-        Vec::new()
+        self.sim().causal_spans().to_vec()
     }
 
     /// Consensus-instance spans currently open (a `span_open` without a
     /// matching `span_close`). Zero after a quiesced fault-free run on every
     /// protocol — the span-balance invariant the smoke tests assert.
     fn open_span_instances(&self) -> usize {
-        0
+        self.sim().open_instance_count()
     }
 
     // ---- fault hooks -----------------------------------------------------
 
     /// Schedules a crash of `node` at time `at`.
-    fn crash_at(&mut self, node: NodeId, at: Time);
+    fn crash_at(&mut self, node: NodeId, at: Time) {
+        self.sim_mut().crash_at(node, at);
+    }
 
     /// Schedules a restart of `node` at time `at`.
-    fn restart_at(&mut self, node: NodeId, at: Time);
+    fn restart_at(&mut self, node: NodeId, at: Time) {
+        self.sim_mut().restart_at(node, at);
+    }
 
     /// Schedules a partition into `groups` at time `at`.
-    fn partition_at(&mut self, at: Time, groups: Vec<Vec<NodeId>>);
+    fn partition_at(&mut self, at: Time, groups: Vec<Vec<NodeId>>) {
+        self.sim_mut().partition_at(at, groups);
+    }
 
     /// Schedules a heal of all partitions at time `at`.
-    fn heal_at(&mut self, at: Time);
+    fn heal_at(&mut self, at: Time) {
+        self.sim_mut().heal_at(at);
+    }
 
     /// Sets the global message drop probability, effective immediately.
-    fn set_drop_prob(&mut self, p: f64);
+    fn set_drop_prob(&mut self, p: f64) {
+        self.sim_mut().set_drop_prob(p);
+    }
 
     /// Installs a Byzantine outbound filter on `node`. Returns whether the
     /// protocol supports (and installed) the window; crash-fault drivers

@@ -23,6 +23,9 @@
 //!   step, fault, harvest) plus the shared [`BatchConfig`]
 //!   batching/pipelining knob; bench and nemesis drive every SMR protocol
 //!   only through this trait.
+//! * [`session`] — the one client session every SMR protocol shares
+//!   (issue, retry, redirect, reply quorum), behind a small per-protocol
+//!   [`session::ClientAdapter`].
 //! * [`txn`] — shared transaction types for the sharded store
 //!   (`forty-store`): transaction ids, the router-facing [`StoreCommand`],
 //!   and the log-entry encoding of the Gray–Lamport 2PC-over-consensus
@@ -39,6 +42,7 @@ pub mod cnc;
 pub mod driver;
 pub mod history;
 pub mod quorum;
+pub mod session;
 pub mod smr;
 pub mod taxonomy;
 pub mod txn;

@@ -7,7 +7,7 @@
 //!
 //! ```
 //! use forty::paxos::MultiPaxosCluster;
-//! use forty::consensus_core::QuorumSpec;
+//! use forty::consensus_core::{ClusterDriver, QuorumSpec};
 //! use forty::simnet::{NetConfig, Time};
 //!
 //! let mut cluster = MultiPaxosCluster::new(
@@ -19,7 +19,7 @@
 //!     42,         // seed — identical runs every time
 //! );
 //! assert!(cluster.run(Time::from_secs(10)));
-//! assert_eq!(cluster.total_completed(), 5);
+//! assert_eq!(cluster.completed_ops(), 5);
 //! ```
 //!
 //! ## Map of the workspace

@@ -426,10 +426,10 @@ impl Target for PaxosTarget {
         execute_plan(&mut cluster.sim, plan, SMR_HORIZON, 0.0, |_, _| None);
 
         let (entries, digests) = harvest_paxos(&cluster);
-        let (history, issued) = client_evidence(cluster.clients().map(|c| &c.history));
+        let (history, issued) = client_evidence(cluster.clients().map(|c| &c.session.history));
         RunReport {
             violations: smr_safety(&entries, &digests, &history, Some(&issued)),
-            ops: cluster.total_completed(),
+            ops: cluster.completed_ops(),
         }
     }
 
@@ -485,10 +485,10 @@ impl Target for RaftTarget {
         execute_plan(&mut cluster.sim, plan, SMR_HORIZON, 0.0, |_, _| None);
 
         let (entries, digests) = harvest_raft(&cluster);
-        let (history, issued) = client_evidence(cluster.clients().map(|c| &c.history));
+        let (history, issued) = client_evidence(cluster.clients().map(|c| &c.session.history));
         RunReport {
             violations: smr_safety(&entries, &digests, &history, Some(&issued)),
-            ops: cluster.total_completed(),
+            ops: cluster.completed_ops(),
         }
     }
 
@@ -558,11 +558,11 @@ impl Target for PbftTarget {
         });
 
         let (entries, digests) = harvest_pbft(&cluster);
-        let (history, _issued) = client_evidence(cluster.clients().map(|c| &c.history));
+        let (history, _issued) = client_evidence(cluster.clients().map(|c| &c.session.history));
         // `issued: None` skips the validity check — see [`smr_safety`].
         RunReport {
             violations: smr_safety(&entries, &digests, &history, None),
-            ops: cluster.total_completed(),
+            ops: cluster.completed_ops(),
         }
     }
 

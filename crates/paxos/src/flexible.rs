@@ -15,7 +15,7 @@
 //! that safety holds across leader changes while replication latency drops
 //! with smaller `|Q2|`.
 
-use consensus_core::QuorumSpec;
+use consensus_core::{ClusterDriver, QuorumSpec};
 use simnet::{NetConfig, Time};
 
 use crate::multi::MultiPaxosCluster;
@@ -119,7 +119,7 @@ mod tests {
         }
         assert!(cluster.run(Time::from_secs(60)), "failover must complete");
         cluster.check_log_consistency();
-        assert_eq!(cluster.total_completed(), 40);
+        assert_eq!(cluster.completed_ops(), 40);
     }
 
     #[test]

@@ -22,16 +22,16 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::driver::{BatchConfig, ClusterDriver, DecidedEntry, DriverConfig};
 use consensus_core::quorum::Phase;
+use consensus_core::session::{self, ClientAdapter, Incoming, Retry, Session};
 use consensus_core::smr::Slot;
-use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder, WorkloadMode};
+use consensus_core::workload::WorkloadMode;
 use consensus_core::{
-    Ballot, ClientRecord, Command, HistorySink, KvCommand, KvResponse, QuorumSpec, ReadMode,
-    ReplicatedLog, StateMachine,
+    Ballot, Command, KvCommand, KvResponse, QuorumSpec, ReadMode, ReplicatedLog, StateMachine,
 };
 use simnet::causal::cat;
 use simnet::{
-    CausalSpan, CncPhase, Context, DiskModel, Metrics, NetConfig, Node, NodeId, Payload,
-    RunOutcome, Sim, Time, Timer, TraceCtx,
+    CncPhase, Context, DiskModel, NetConfig, Node, NodeId, Payload, Sim, SimView, Time, Timer,
+    TraceCtx,
 };
 
 /// Span protocol label; instances are log indices.
@@ -286,17 +286,7 @@ impl Payload for MpMsg {
 
 const ELECTION: u64 = 1;
 const HEARTBEAT: u64 = 2;
-const CLIENT_RETRY: u64 = 3;
 const BATCH_FLUSH: u64 = 4;
-const CLIENT_ISSUE: u64 = 5;
-const CLIENT_NUDGE: u64 = 6;
-
-/// Delay before resending after a `NotLeader` redirect. A single armed
-/// nudge (instead of an immediate resend per redirect) bounds redirect
-/// traffic to one resend per client per interval: with a transmit-limited
-/// NIC, stale redirects otherwise arrive from a growing queue and every
-/// bounce triggers another bounce — a self-sustaining request storm.
-const NUDGE_US: u64 = 2_000;
 
 /// Heartbeat period (µs).
 const HB_PERIOD: u64 = 10_000;
@@ -1405,198 +1395,38 @@ impl Node for Replica {
     }
 }
 
-/// A workload client: closed loop (one outstanding command, the default) or
-/// open loop (fixed inter-arrival time, multiple outstanding).
-pub struct Client {
-    /// Client id (== its node id).
-    pub client_id: u32,
-    n_replicas: usize,
-    workload: KvWorkload,
-    total: usize,
-    mode: WorkloadMode,
-    /// Completed commands.
-    pub completed: usize,
-    /// Issued-but-unreplied commands, by client sequence number.
-    outstanding: BTreeMap<u64, (Command<KvCommand>, Time)>,
-    /// Causal root span per outstanding command (when tracing is enabled).
-    trace_roots: BTreeMap<u64, TraceCtx>,
-    leader_guess: NodeId,
-    nudge_armed: bool,
-    /// Consecutive `CLIENT_RETRY` expiries with no reply or redirect.
-    retry_strikes: u8,
-    /// Request → reply latencies.
-    pub latencies: LatencyRecorder,
-    /// Invoke/response history for safety checking.
-    pub history: HistorySink,
-    /// Fast-read replies landed at this node, keyed by `(reader client id,
-    /// read sequence number)`: `(value, mode)`. Filled by the geo read
-    /// path, which borrows stub clients as regional read gateways (several
-    /// routers may share one gateway, hence the compound key); the classic
-    /// workload never touches it.
-    pub read_replies: BTreeMap<(u32, u64), (Option<String>, ReadMode)>,
-}
+/// The Multi-Paxos side of the shared client session: requests go to the
+/// guessed leader, `NotLeader` redirects move the guess, and a silent
+/// leader is retried after 100 ms and abandoned on the second expiry.
+pub struct MpAdapter;
 
-impl Client {
-    /// Creates a closed-loop client that will issue `total` commands.
-    pub fn new(client_id: u32, n_replicas: usize, total: usize, mix: KvMix, seed: u64) -> Self {
-        Self::new_with(client_id, n_replicas, total, mix, seed, WorkloadMode::Closed)
-    }
-
-    /// Creates a client with an explicit pacing mode.
-    pub fn new_with(
-        client_id: u32,
-        n_replicas: usize,
-        total: usize,
-        mix: KvMix,
-        seed: u64,
-        mode: WorkloadMode,
-    ) -> Self {
-        Client {
-            client_id,
-            n_replicas,
-            workload: KvWorkload::new(client_id, mix, seed),
-            total,
-            mode,
-            completed: 0,
-            outstanding: BTreeMap::new(),
-            trace_roots: BTreeMap::new(),
-            leader_guess: NodeId(0),
-            nudge_armed: false,
-            retry_strikes: 0,
-            latencies: LatencyRecorder::new(),
-            history: HistorySink::new(),
-            read_replies: BTreeMap::new(),
-        }
-    }
-
-    fn issue_next(&mut self, ctx: &mut Context<MpMsg>) {
-        if self.workload.issued() as usize >= self.total {
-            return;
-        }
-        let cmd = self.workload.next_command();
-        self.history
-            .invoke(cmd.client, cmd.seq, cmd.op.clone(), ctx.now().0);
-        self.outstanding.insert(cmd.seq, (cmd.clone(), ctx.now()));
-        // Root the command's causal trace (no-op unless tracing is on); the
-        // request send below inherits it automatically.
-        if let Some(tc) = ctx.trace_begin(&format!("op c{} s{}", cmd.client, cmd.seq)) {
-            self.trace_roots.insert(cmd.seq, tc);
-        }
-        ctx.send(self.leader_guess, MpMsg::Request { cmd });
-        ctx.set_timer(100_000, CLIENT_RETRY);
-    }
-
-    fn resend_all(&mut self, ctx: &mut Context<MpMsg>) {
-        let pending: Vec<(u64, Command<KvCommand>)> = self
-            .outstanding
-            .iter()
-            .map(|(&seq, (cmd, _))| (seq, cmd.clone()))
-            .collect();
-        for (seq, cmd) in pending {
-            // Retransmits stay on the original trace.
-            ctx.set_trace_ctx(self.trace_roots.get(&seq).copied());
-            ctx.send(self.leader_guess, MpMsg::Request { cmd });
-        }
-        ctx.set_trace_ctx(None);
-        if !self.outstanding.is_empty() {
-            ctx.set_timer(100_000, CLIENT_RETRY);
-        }
-    }
-
-    /// Whether all commands completed.
-    pub fn done(&self) -> bool {
-        self.completed >= self.total
-    }
-}
-
-impl Node for Client {
+impl ClientAdapter for MpAdapter {
     type Msg = MpMsg;
+    const RETRY_US: u64 = 100_000;
+    const RETRY: Retry = Retry::Guess;
 
-    fn on_start(&mut self, ctx: &mut Context<MpMsg>) {
-        self.issue_next(ctx);
-        if let WorkloadMode::Open { interval_us } = self.mode {
-            ctx.set_timer(interval_us.max(1), CLIENT_ISSUE);
-        }
+    fn request(cmd: Command<KvCommand>) -> MpMsg {
+        MpMsg::Request { cmd }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<MpMsg>, from: NodeId, msg: MpMsg) {
+    fn classify(msg: MpMsg) -> Incoming {
         match msg {
-            MpMsg::Reply { seq, output, .. } => {
-                self.retry_strikes = 0;
-                if let Some((cmd, sent_at)) = self.outstanding.remove(&seq) {
-                    if let Some(tc) = self.trace_roots.remove(&seq) {
-                        ctx.trace_close(tc);
-                    }
-                    self.history
-                        .complete(cmd.client, cmd.seq, ctx.now().0, output);
-                    self.latencies.record(sent_at, ctx.now());
-                    self.completed += 1;
-                    if self.mode == WorkloadMode::Closed {
-                        self.issue_next(ctx);
-                    }
-                }
-            }
-            MpMsg::NotLeader { seq, hint } => {
-                self.retry_strikes = 0;
-                if self.outstanding.contains_key(&seq) {
-                    // Follow the hint unless it points back at the
-                    // replier; then probe round-robin.
-                    self.leader_guess = if hint != from && hint.index() < self.n_replicas {
-                        hint
-                    } else {
-                        NodeId::from((from.index() + 1) % self.n_replicas)
-                    };
-                    if !self.nudge_armed {
-                        self.nudge_armed = true;
-                        ctx.set_timer(NUDGE_US, CLIENT_NUDGE);
-                    }
-                }
-            }
+            MpMsg::Reply { seq, output, .. } => Incoming::Reply(seq, output),
+            MpMsg::NotLeader { seq, hint } => Incoming::Redirect(seq, hint),
             MpMsg::ReadResp {
                 client,
                 seq,
                 value,
                 mode,
-            } => {
-                self.read_replies.insert((client, seq), (value, mode));
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<MpMsg>, timer: Timer) {
-        match timer.kind {
-            CLIENT_RETRY if !self.outstanding.is_empty() => {
-                // First expiry resends to the current guess (the reply may
-                // just be slow under load); only repeated silence rotates —
-                // eagerly rotating off a live-but-saturated leader turns
-                // every >100 ms reply into a redirect round-trip.
-                self.retry_strikes = self.retry_strikes.saturating_add(1);
-                if self.retry_strikes >= 2 {
-                    self.retry_strikes = 0;
-                    self.leader_guess =
-                        NodeId::from((self.leader_guess.index() + 1) % self.n_replicas);
-                }
-                self.resend_all(ctx);
-            }
-            CLIENT_NUDGE => {
-                self.nudge_armed = false;
-                if !self.outstanding.is_empty() {
-                    self.resend_all(ctx);
-                }
-            }
-            CLIENT_ISSUE => {
-                self.issue_next(ctx);
-                if let WorkloadMode::Open { interval_us } = self.mode {
-                    if (self.workload.issued() as usize) < self.total {
-                        ctx.set_timer(interval_us.max(1), CLIENT_ISSUE);
-                    }
-                }
-            }
-            _ => {}
+            } => Incoming::ReadResp(client, seq, value, mode),
+            _ => Incoming::Other,
         }
     }
 }
+
+/// A Multi-Paxos workload client: closed loop (one outstanding command, the
+/// default) or open loop (fixed inter-arrival time, multiple outstanding).
+pub type Client = session::Client<MpAdapter>;
 
 simnet::node_enum! {
     /// A Multi-Paxos process: replica or client.
@@ -1614,8 +1444,6 @@ pub struct MultiPaxosCluster {
     pub sim: Sim<Proc>,
     /// Number of replicas (nodes `0..n_replicas`).
     pub n_replicas: usize,
-    /// Number of clients (nodes `n_replicas..`).
-    pub n_clients: usize,
 }
 
 impl MultiPaxosCluster {
@@ -1654,41 +1482,25 @@ impl MultiPaxosCluster {
         batch: BatchConfig,
         mode: WorkloadMode,
     ) -> Self {
-        assert_eq!(spec.n(), n_replicas, "quorum spec must match replica count");
-        let mut sim = Sim::new(config, seed);
-        for _ in 0..n_replicas {
-            sim.add_node(Replica::new_with(spec, n_replicas, batch));
-        }
-        for c in 0..n_clients {
-            let id = (n_replicas + c) as u32;
-            sim.add_node(Client::new_with(
-                id,
-                n_replicas,
-                cmds_per_client,
-                KvMix::default(),
-                seed,
-                mode,
-            ));
-        }
-        MultiPaxosCluster {
-            sim,
-            n_replicas,
-            n_clients,
-        }
+        let cfg = DriverConfig::new(n_replicas, n_clients, cmds_per_client, seed)
+            .with_net(config)
+            .with_batch(batch)
+            .with_mode(mode);
+        Self::build(spec, &cfg)
     }
 
-    /// Replaces every client's workload mix. A builder — call before the
-    /// first step; with the default mix it is a no-op, so existing runs are
-    /// untouched.
-    #[must_use]
-    pub fn with_mix(mut self, mix: KvMix) -> Self {
-        for c in 0..self.n_clients {
-            let id = NodeId::from(self.n_replicas + c);
-            if let Proc::Client(cl) = self.sim.node_mut(id) {
-                cl.workload.set_mix(mix);
-            }
+    fn build(spec: QuorumSpec, cfg: &DriverConfig) -> Self {
+        let n = cfg.n_replicas;
+        assert_eq!(spec.n(), n, "quorum spec must match replica count");
+        let mut sim = Sim::new(cfg.net.clone(), cfg.seed);
+        for _ in 0..n {
+            sim.add_node(Replica::new_with(spec, n, cfg.batch));
         }
-        self
+        for c in 0..cfg.n_clients {
+            let (id, total) = ((n + c) as u32, cfg.cmds_per_client);
+            sim.add_node(Client::new(id, n, total, cfg.mix, cfg.seed, cfg.mode));
+        }
+        MultiPaxosCluster { sim, n_replicas: n }
     }
 
     /// Enables clock-bound leader leases on every replica (see
@@ -1725,25 +1537,6 @@ impl MultiPaxosCluster {
             }
         }
         self
-    }
-
-    /// Runs until all clients finish or `horizon` passes. Returns whether
-    /// every client completed.
-    pub fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim.run_for(10_000);
-            if self.all_done() {
-                return true;
-            }
-            if self.sim.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.all_done();
-            }
-        }
-    }
-
-    /// Whether every client completed its workload.
-    pub fn all_done(&self) -> bool {
-        self.clients().all(|c| c.done())
     }
 
     /// Iterates over client states.
@@ -1800,22 +1593,6 @@ impl MultiPaxosCluster {
         }
         min_applied
     }
-
-    /// Total commands completed across clients.
-    pub fn total_completed(&self) -> usize {
-        self.clients().map(|c| c.completed).sum()
-    }
-
-    /// Aggregated latency recorder across clients.
-    pub fn latencies(&self) -> LatencyRecorder {
-        let mut agg = LatencyRecorder::new();
-        for c in self.clients() {
-            for &s in c.latencies.samples() {
-                agg.record_micros(s);
-            }
-        }
-        agg
-    }
 }
 
 /// Sub-index stride for flattening batched slots into per-command
@@ -1824,17 +1601,7 @@ const SUB_INDEX: u64 = 1 << 20;
 
 impl ClusterDriver for MultiPaxosCluster {
     fn from_config(cfg: &DriverConfig) -> Self {
-        MultiPaxosCluster::new_with(
-            QuorumSpec::Majority { n: cfg.n_replicas },
-            cfg.n_replicas,
-            cfg.n_clients,
-            cfg.cmds_per_client,
-            cfg.net.clone(),
-            cfg.seed,
-            cfg.batch,
-            cfg.mode,
-        )
-        .with_mix(cfg.mix)
+        Self::build(QuorumSpec::Majority { n: cfg.n_replicas }, cfg)
     }
 
     fn protocol(&self) -> &'static str {
@@ -1845,31 +1612,16 @@ impl ClusterDriver for MultiPaxosCluster {
         self.n_replicas
     }
 
-    fn now(&self) -> Time {
-        self.sim.now()
+    fn sim(&self) -> &dyn SimView {
+        &self.sim
     }
 
-    fn run_until(&mut self, at: Time) -> RunOutcome {
-        let mut guard = 0;
-        loop {
-            let outcome = self.sim.run_until(at);
-            if outcome != RunOutcome::Stopped || guard > 10_000 {
-                return outcome;
-            }
-            guard += 1;
-        }
+    fn sim_mut(&mut self) -> &mut dyn SimView {
+        &mut self.sim
     }
 
-    fn run(&mut self, horizon: Time) -> bool {
-        MultiPaxosCluster::run(self, horizon)
-    }
-
-    fn all_done(&self) -> bool {
-        MultiPaxosCluster::all_done(self)
-    }
-
-    fn completed_ops(&self) -> usize {
-        self.total_completed()
+    fn sessions(&self) -> Vec<&Session> {
+        self.clients().map(|c| &c.session).collect()
     }
 
     fn decided_log(&self) -> Vec<DecidedEntry> {
@@ -1922,50 +1674,6 @@ impl ClusterDriver for MultiPaxosCluster {
             })
             .collect()
     }
-
-    fn history(&self) -> Vec<ClientRecord> {
-        HistorySink::merge(self.clients().map(|c| &c.history))
-    }
-
-    fn latencies(&self) -> LatencyRecorder {
-        MultiPaxosCluster::latencies(self)
-    }
-
-    fn metrics(&self) -> &Metrics {
-        self.sim.metrics()
-    }
-
-    fn enable_tracing(&mut self, site: u32) {
-        self.sim.enable_tracing(site);
-    }
-
-    fn causal_spans(&self) -> Vec<CausalSpan> {
-        self.sim.causal_spans().to_vec()
-    }
-
-    fn open_span_instances(&self) -> usize {
-        self.sim.open_instance_count()
-    }
-
-    fn crash_at(&mut self, node: NodeId, at: Time) {
-        self.sim.crash_at(node, at);
-    }
-
-    fn restart_at(&mut self, node: NodeId, at: Time) {
-        self.sim.restart_at(node, at);
-    }
-
-    fn partition_at(&mut self, at: Time, groups: Vec<Vec<NodeId>>) {
-        self.sim.partition_at(at, groups);
-    }
-
-    fn heal_at(&mut self, at: Time) {
-        self.sim.heal_at(at);
-    }
-
-    fn set_drop_prob(&mut self, p: f64) {
-        self.sim.set_drop_prob(p);
-    }
 }
 
 #[cfg(test)]
@@ -1992,7 +1700,7 @@ mod tests {
     fn commits_client_commands() {
         let mut cluster = majority_cluster(3, 1, 10, 1);
         assert!(cluster.run(Time::from_secs(10)), "workload must finish");
-        assert_eq!(cluster.total_completed(), 10);
+        assert_eq!(cluster.completed_ops(), 10);
         assert!(cluster.check_log_consistency() >= 10);
     }
 
@@ -2000,7 +1708,7 @@ mod tests {
     fn multiple_clients_interleave_safely() {
         let mut cluster = majority_cluster(5, 3, 20, 2);
         assert!(cluster.run(Time::from_secs(30)));
-        assert_eq!(cluster.total_completed(), 60);
+        assert_eq!(cluster.completed_ops(), 60);
         cluster.check_log_consistency();
         // Every applied command index appears exactly once per log.
         let lead = cluster.leader().expect("stable leader");
@@ -2031,9 +1739,9 @@ mod tests {
         assert!(
             cluster.run(Time::from_secs(30)),
             "clients must finish after failover: {} done",
-            cluster.total_completed()
+            cluster.completed_ops()
         );
-        assert_eq!(cluster.total_completed(), 50);
+        assert_eq!(cluster.completed_ops(), 50);
         cluster.check_log_consistency();
         // A new leader emerged, different from the crashed one (allow the
         // cluster to settle out of any in-flight election first).
@@ -2057,7 +1765,7 @@ mod tests {
         cluster.sim.crash_at(NodeId(2), Time::from_millis(51));
         cluster.sim.restart_at(NodeId(2), Time::from_millis(200));
         assert!(cluster.run(Time::from_secs(20)));
-        assert_eq!(cluster.total_completed(), 20);
+        assert_eq!(cluster.completed_ops(), 20);
         cluster.check_log_consistency();
     }
 
@@ -2094,7 +1802,7 @@ mod tests {
             let mut cluster = majority_cluster(3, 2, 10, seed);
             cluster.run(Time::from_secs(10));
             (
-                cluster.total_completed(),
+                cluster.completed_ops(),
                 cluster.sim.metrics().sent,
                 cluster.latencies().mean() as u64,
             )
@@ -2175,9 +1883,9 @@ mod tests {
         assert!(
             cluster.run(Time::from_secs(30)),
             "clients stalled after failover: {} done",
-            cluster.total_completed()
+            cluster.completed_ops()
         );
-        assert_eq!(cluster.total_completed(), 40);
+        assert_eq!(cluster.completed_ops(), 40);
         cluster.check_log_consistency();
     }
 
@@ -2196,7 +1904,7 @@ mod tests {
             WorkloadMode::Open { interval_us: 200 },
         );
         assert!(cluster.run(Time::from_secs(30)));
-        assert_eq!(cluster.total_completed(), 60);
+        assert_eq!(cluster.completed_ops(), 60);
         cluster.check_log_consistency();
         let h = &cluster.sim.metrics().batch_size;
         assert!(
@@ -2234,7 +1942,7 @@ mod tests {
         // slots — the log stays bounded against the checkpoint.
         let mut cluster = majority_cluster(3, 1, 40, 21).with_snapshot_threshold(8);
         assert!(cluster.run(Time::from_secs(20)));
-        assert_eq!(cluster.total_completed(), 40);
+        assert_eq!(cluster.completed_ops(), 40);
         cluster.sim.run_for(300_000); // let followers settle / catch up
         cluster.check_log_consistency();
         for r in cluster.replicas() {
@@ -2297,7 +2005,7 @@ mod tests {
         let mut cluster =
             majority_cluster(3, 1, 30, 22).with_durability(8, simnet::DiskModel::ssd());
         assert!(cluster.run(Time::from_secs(20)));
-        assert_eq!(cluster.total_completed(), 30);
+        assert_eq!(cluster.completed_ops(), 30);
         cluster.sim.run_for(300_000);
         let digest_before = {
             let Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
@@ -2335,7 +2043,7 @@ mod tests {
             majority_cluster(3, 2, 30, 23).with_durability(4, simnet::DiskModel::ssd());
         cluster.sim.crash_at(NodeId(2), Time::from_millis(20));
         assert!(cluster.run(Time::from_secs(20)), "quorum of 2 must finish");
-        assert_eq!(cluster.total_completed(), 60);
+        assert_eq!(cluster.completed_ops(), 60);
         let leader_floor = cluster
             .replicas()
             .map(|r| r.snapshot_floor)
@@ -2461,7 +2169,7 @@ mod tests {
                 panic!("node 3 is a client")
             };
             assert_eq!(
-                c.read_replies.get(&(3, 1)),
+                c.session.read_replies.get(&(3, 1)),
                 Some(&(Some(want), ReadMode::Lease)),
                 "lease-holding leader must answer locally"
             );
@@ -2485,7 +2193,7 @@ mod tests {
             panic!("node 3 is a client")
         };
         assert_eq!(
-            c.read_replies.get(&(3, 2)),
+            c.session.read_replies.get(&(3, 2)),
             Some(&(None, ReadMode::Nack)),
             "skew past the bound must force fallback, never a stale serve"
         );
@@ -2516,7 +2224,7 @@ mod tests {
             panic!("node 3 is a client")
         };
         assert_eq!(
-            c.read_replies.get(&(3, 9)),
+            c.session.read_replies.get(&(3, 9)),
             Some(&(Some(want), ReadMode::Lease))
         );
         let renewals: usize = cluster
@@ -2563,7 +2271,7 @@ mod tests {
             panic!("node 3 is a client")
         };
         assert_eq!(
-            c.read_replies.get(&(3, 5)),
+            c.session.read_replies.get(&(3, 5)),
             Some(&(None, ReadMode::Nack)),
             "an isolated ex-leader must refuse fast reads once its lease lapses"
         );

@@ -1,219 +1,41 @@
-//! Raft workload client (same shape as `paxos::multi::Client`): closed-loop
-//! by default, optionally open-loop with a fixed issue interval so batching
-//! experiments can saturate the leader.
+//! The Raft side of the shared client session (same policy as
+//! `paxos::multi`): requests go to the guessed leader, `NotLeader`
+//! redirects move the guess, and a silent leader is retried after 100 ms
+//! and abandoned on the second expiry.
 
-use std::collections::BTreeMap;
-
-use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder, WorkloadMode};
-use consensus_core::{Command, HistorySink, KvCommand, ReadMode};
-use simnet::{Context, Node, NodeId, Time, TraceCtx, Timer};
+use consensus_core::session::{self, ClientAdapter, Incoming, Retry};
+use consensus_core::{Command, KvCommand};
 
 use crate::msg::RaftMsg;
 
-const CLIENT_RETRY: u64 = 100;
-const CLIENT_ISSUE: u64 = 101;
-const CLIENT_NUDGE: u64 = 102;
+/// Raft's [`ClientAdapter`].
+pub struct RaftAdapter;
 
-/// Delay before resending after a `NotLeader` redirect. A single armed
-/// nudge (instead of an immediate resend per redirect) bounds redirect
-/// traffic to one resend per client per interval: with a transmit-limited
-/// NIC, stale redirects otherwise arrive from a growing queue and every
-/// bounce triggers another bounce — a self-sustaining request storm.
-const NUDGE_US: u64 = 2_000;
-
-/// A client issuing `total` commands from a deterministic workload.
-pub struct Client {
-    /// Client id (== node id).
-    pub client_id: u32,
-    n_replicas: usize,
-    workload: KvWorkload,
-    total: usize,
-    mode: WorkloadMode,
-    /// Commands completed.
-    pub completed: usize,
-    /// Issued-but-unreplied commands, by client sequence number.
-    outstanding: BTreeMap<u64, (Command<KvCommand>, Time)>,
-    leader_guess: NodeId,
-    nudge_armed: bool,
-    /// Consecutive `CLIENT_RETRY` expiries with no reply or redirect.
-    retry_strikes: u8,
-    /// Request → reply latencies.
-    pub latencies: LatencyRecorder,
-    /// Invoke/response history for safety checking.
-    pub history: HistorySink,
-    /// Open root trace span per outstanding seq (tracing only).
-    trace_roots: BTreeMap<u64, TraceCtx>,
-    /// Fast-path read replies keyed by `(reader client id, read sequence
-    /// number)` (geo read path and tests only — the classic closed/open
-    /// workload never issues reads through this channel; several routers
-    /// may share one gateway client, hence the compound key).
-    pub read_replies: BTreeMap<(u32, u64), (Option<String>, ReadMode)>,
-}
-
-impl Client {
-    /// Creates a closed-loop client that will issue `total` commands.
-    pub fn new(client_id: u32, n_replicas: usize, total: usize, mix: KvMix, seed: u64) -> Self {
-        Self::new_with(client_id, n_replicas, total, mix, seed, WorkloadMode::Closed)
-    }
-
-    /// Creates a client with an explicit pacing mode.
-    pub fn new_with(
-        client_id: u32,
-        n_replicas: usize,
-        total: usize,
-        mix: KvMix,
-        seed: u64,
-        mode: WorkloadMode,
-    ) -> Self {
-        Client {
-            client_id,
-            n_replicas,
-            workload: KvWorkload::new(client_id, mix, seed),
-            total,
-            mode,
-            completed: 0,
-            outstanding: BTreeMap::new(),
-            leader_guess: NodeId(0),
-            nudge_armed: false,
-            retry_strikes: 0,
-            latencies: LatencyRecorder::new(),
-            history: HistorySink::new(),
-            trace_roots: BTreeMap::new(),
-            read_replies: BTreeMap::new(),
-        }
-    }
-
-    /// Whether the workload finished.
-    pub fn done(&self) -> bool {
-        self.completed >= self.total
-    }
-
-    /// Replaces the workload mix; called by the cluster builder before the
-    /// first command is generated, which is equivalent to constructing with
-    /// the new mix (see [`consensus_core::workload::KvWorkload::set_mix`]).
-    pub fn set_mix(&mut self, mix: KvMix) {
-        self.workload.set_mix(mix);
-    }
-
-    fn issue_next(&mut self, ctx: &mut Context<RaftMsg>) {
-        if self.workload.issued() as usize >= self.total {
-            return;
-        }
-        let cmd = self.workload.next_command();
-        self.history
-            .invoke(cmd.client, cmd.seq, cmd.op.clone(), ctx.now().0);
-        self.outstanding.insert(cmd.seq, (cmd.clone(), ctx.now()));
-        if let Some(tc) = ctx.trace_begin(&format!("op c{} s{}", cmd.client, cmd.seq)) {
-            self.trace_roots.insert(cmd.seq, tc);
-        }
-        ctx.send(self.leader_guess, RaftMsg::Request { cmd });
-        ctx.set_timer(100_000, CLIENT_RETRY);
-    }
-
-    fn resend_all(&mut self, ctx: &mut Context<RaftMsg>) {
-        let pending: Vec<(u64, Command<KvCommand>)> = self
-            .outstanding
-            .iter()
-            .map(|(&seq, (cmd, _))| (seq, cmd.clone()))
-            .collect();
-        for (seq, cmd) in pending {
-            // Resends continue the command's original trace, not the trace
-            // of whatever message happened to trigger the retry.
-            ctx.set_trace_ctx(self.trace_roots.get(&seq).copied());
-            ctx.send(self.leader_guess, RaftMsg::Request { cmd });
-        }
-        ctx.set_trace_ctx(None);
-        if !self.outstanding.is_empty() {
-            ctx.set_timer(100_000, CLIENT_RETRY);
-        }
-    }
-}
-
-impl Node for Client {
+impl ClientAdapter for RaftAdapter {
     type Msg = RaftMsg;
+    const RETRY_US: u64 = 100_000;
+    const RETRY: Retry = Retry::Guess;
 
-    fn on_start(&mut self, ctx: &mut Context<RaftMsg>) {
-        self.issue_next(ctx);
-        if let WorkloadMode::Open { interval_us } = self.mode {
-            ctx.set_timer(interval_us.max(1), CLIENT_ISSUE);
-        }
+    fn request(cmd: Command<KvCommand>) -> RaftMsg {
+        RaftMsg::Request { cmd }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<RaftMsg>, from: NodeId, msg: RaftMsg) {
+    fn classify(msg: RaftMsg) -> Incoming {
         match msg {
-            RaftMsg::Reply { seq, output, .. } => {
-                self.retry_strikes = 0;
-                if let Some((cmd, sent_at)) = self.outstanding.remove(&seq) {
-                    if let Some(tc) = self.trace_roots.remove(&seq) {
-                        ctx.trace_close(tc);
-                    }
-                    self.history
-                        .complete(cmd.client, cmd.seq, ctx.now().0, output);
-                    self.latencies.record(sent_at, ctx.now());
-                    self.completed += 1;
-                    if self.mode == WorkloadMode::Closed {
-                        self.issue_next(ctx);
-                    }
-                }
-            }
-            RaftMsg::NotLeader { seq, hint } => {
-                self.retry_strikes = 0;
-                if self.outstanding.contains_key(&seq) {
-                    // Follow the hint unless it points back at the replier;
-                    // then probe round-robin.
-                    self.leader_guess = if hint != from && hint.index() < self.n_replicas {
-                        hint
-                    } else {
-                        NodeId::from((from.index() + 1) % self.n_replicas)
-                    };
-                    if !self.nudge_armed {
-                        self.nudge_armed = true;
-                        ctx.set_timer(NUDGE_US, CLIENT_NUDGE);
-                    }
-                }
-            }
+            RaftMsg::Reply { seq, output, .. } => Incoming::Reply(seq, output),
+            RaftMsg::NotLeader { seq, hint } => Incoming::Redirect(seq, hint),
             RaftMsg::ReadResp {
                 client,
                 seq,
                 value,
                 mode,
-            } => {
-                self.read_replies.insert((client, seq), (value, mode));
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<RaftMsg>, timer: Timer) {
-        match timer.kind {
-            CLIENT_RETRY if !self.outstanding.is_empty() => {
-                // First expiry resends to the current guess (the reply may
-                // just be slow under load); only repeated silence rotates —
-                // eagerly rotating off a live-but-saturated leader turns
-                // every >100 ms reply into a redirect round-trip.
-                self.retry_strikes = self.retry_strikes.saturating_add(1);
-                if self.retry_strikes >= 2 {
-                    self.retry_strikes = 0;
-                    self.leader_guess =
-                        NodeId::from((self.leader_guess.index() + 1) % self.n_replicas);
-                }
-                self.resend_all(ctx);
-            }
-            CLIENT_NUDGE => {
-                self.nudge_armed = false;
-                if !self.outstanding.is_empty() {
-                    self.resend_all(ctx);
-                }
-            }
-            CLIENT_ISSUE => {
-                self.issue_next(ctx);
-                if let WorkloadMode::Open { interval_us } = self.mode {
-                    if (self.workload.issued() as usize) < self.total {
-                        ctx.set_timer(interval_us.max(1), CLIENT_ISSUE);
-                    }
-                }
-            }
-            _ => {}
+            } => Incoming::ReadResp(client, seq, value, mode),
+            _ => Incoming::Other,
         }
     }
 }
+
+/// A Raft workload client: closed loop by default, optionally open loop
+/// with a fixed issue interval so batching experiments can saturate the
+/// leader.
+pub type Client = session::Client<RaftAdapter>;

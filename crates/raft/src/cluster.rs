@@ -1,10 +1,10 @@
 //! Cluster harness and end-to-end tests for Raft.
 
 use consensus_core::driver::{BatchConfig, ClusterDriver, DecidedEntry, DriverConfig};
-use consensus_core::history::ClientRecord;
-use consensus_core::workload::{KvMix, LatencyRecorder, WorkloadMode};
-use consensus_core::{HistorySink, SmrOp, StateMachine as _};
-use simnet::{CausalSpan, DiskModel, Metrics, NetConfig, NodeId, RunOutcome, Sim, Time};
+use consensus_core::session::Session;
+use consensus_core::workload::WorkloadMode;
+use consensus_core::{SmrOp, StateMachine as _};
+use simnet::{DiskModel, NetConfig, NodeId, Sim, SimView};
 
 use crate::client::Client;
 use crate::replica::{Replica, Role};
@@ -16,8 +16,6 @@ pub struct RaftCluster {
     pub sim: Sim<Proc>,
     /// Number of replicas (nodes `0..n_replicas`).
     pub n_replicas: usize,
-    /// Number of clients.
-    pub n_clients: usize,
 }
 
 impl RaftCluster {
@@ -51,40 +49,11 @@ impl RaftCluster {
         batch: BatchConfig,
         mode: WorkloadMode,
     ) -> Self {
-        let mut sim = Sim::new(config, seed);
-        for _ in 0..n_replicas {
-            sim.add_node(Replica::new_with(n_replicas, batch));
-        }
-        for c in 0..n_clients {
-            let id = (n_replicas + c) as u32;
-            sim.add_node(Client::new_with(
-                id,
-                n_replicas,
-                cmds_per_client,
-                KvMix::default(),
-                seed,
-                mode,
-            ));
-        }
-        RaftCluster {
-            sim,
-            n_replicas,
-            n_clients,
-        }
-    }
-
-    /// Replaces every client's workload mix. A builder — call before the
-    /// first step; with the default mix it is a no-op, so existing runs are
-    /// untouched.
-    #[must_use]
-    pub fn with_mix(mut self, mix: KvMix) -> Self {
-        for c in 0..self.n_clients {
-            let id = NodeId::from(self.n_replicas + c);
-            if let Proc::Client(cl) = self.sim.node_mut(id) {
-                cl.set_mix(mix);
-            }
-        }
-        self
+        let cfg = DriverConfig::new(n_replicas, n_clients, cmds_per_client, seed)
+            .with_net(config)
+            .with_batch(batch)
+            .with_mode(mode);
+        Self::from_config(&cfg)
     }
 
     /// Attaches a fresh [`storage::DurableEngine`] over `model` to every
@@ -99,24 +68,6 @@ impl RaftCluster {
             }
         }
         self
-    }
-
-    /// Runs until all clients finish or `horizon` passes.
-    pub fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim.run_for(10_000);
-            if self.all_done() {
-                return true;
-            }
-            if self.sim.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.all_done();
-            }
-        }
-    }
-
-    /// Whether all clients completed their workloads.
-    pub fn all_done(&self) -> bool {
-        self.clients().all(|c| c.done())
     }
 
     /// Iterates over client states.
@@ -149,22 +100,6 @@ impl RaftCluster {
             [one] => Some(*one),
             _ => None,
         }
-    }
-
-    /// Total commands completed.
-    pub fn total_completed(&self) -> usize {
-        self.clients().map(|c| c.completed).sum()
-    }
-
-    /// Aggregated latencies.
-    pub fn latencies(&self) -> LatencyRecorder {
-        let mut agg = LatencyRecorder::new();
-        for c in self.clients() {
-            for &s in c.latencies.samples() {
-                agg.record_micros(s);
-            }
-        }
-        agg
     }
 
     /// Checks the **Log Matching** property over the retained (non-
@@ -211,16 +146,16 @@ impl RaftCluster {
 
 impl ClusterDriver for RaftCluster {
     fn from_config(cfg: &DriverConfig) -> Self {
-        RaftCluster::new_with(
-            cfg.n_replicas,
-            cfg.n_clients,
-            cfg.cmds_per_client,
-            cfg.net.clone(),
-            cfg.seed,
-            cfg.batch,
-            cfg.mode,
-        )
-        .with_mix(cfg.mix)
+        let n = cfg.n_replicas;
+        let mut sim = Sim::new(cfg.net.clone(), cfg.seed);
+        for _ in 0..n {
+            sim.add_node(Replica::new_with(n, cfg.batch));
+        }
+        for c in 0..cfg.n_clients {
+            let (id, total) = ((n + c) as u32, cfg.cmds_per_client);
+            sim.add_node(Client::new(id, n, total, cfg.mix, cfg.seed, cfg.mode));
+        }
+        RaftCluster { sim, n_replicas: n }
     }
 
     fn protocol(&self) -> &'static str {
@@ -231,31 +166,16 @@ impl ClusterDriver for RaftCluster {
         self.n_replicas
     }
 
-    fn now(&self) -> Time {
-        self.sim.now()
+    fn sim(&self) -> &dyn SimView {
+        &self.sim
     }
 
-    fn run_until(&mut self, at: Time) -> RunOutcome {
-        let mut guard = 0;
-        loop {
-            let outcome = self.sim.run_until(at);
-            if outcome != RunOutcome::Stopped || guard > 10_000 {
-                return outcome;
-            }
-            guard += 1;
-        }
+    fn sim_mut(&mut self) -> &mut dyn SimView {
+        &mut self.sim
     }
 
-    fn run(&mut self, horizon: Time) -> bool {
-        RaftCluster::run(self, horizon)
-    }
-
-    fn all_done(&self) -> bool {
-        RaftCluster::all_done(self)
-    }
-
-    fn completed_ops(&self) -> usize {
-        self.total_completed()
+    fn sessions(&self) -> Vec<&Session> {
+        self.clients().map(|c| &c.session).collect()
     }
 
     fn decided_log(&self) -> Vec<DecidedEntry> {
@@ -288,55 +208,12 @@ impl ClusterDriver for RaftCluster {
             })
             .collect()
     }
-
-    fn history(&self) -> Vec<ClientRecord> {
-        HistorySink::merge(self.clients().map(|c| &c.history))
-    }
-
-    fn latencies(&self) -> LatencyRecorder {
-        RaftCluster::latencies(self)
-    }
-
-    fn metrics(&self) -> &Metrics {
-        self.sim.metrics()
-    }
-
-    fn enable_tracing(&mut self, site: u32) {
-        self.sim.enable_tracing(site);
-    }
-
-    fn causal_spans(&self) -> Vec<CausalSpan> {
-        self.sim.causal_spans().to_vec()
-    }
-
-    fn open_span_instances(&self) -> usize {
-        self.sim.open_instance_count()
-    }
-
-    fn crash_at(&mut self, node: NodeId, at: Time) {
-        self.sim.crash_at(node, at);
-    }
-
-    fn restart_at(&mut self, node: NodeId, at: Time) {
-        self.sim.restart_at(node, at);
-    }
-
-    fn partition_at(&mut self, at: Time, groups: Vec<Vec<NodeId>>) {
-        self.sim.partition_at(at, groups);
-    }
-
-    fn heal_at(&mut self, at: Time) {
-        self.sim.heal_at(at);
-    }
-
-    fn set_drop_prob(&mut self, p: f64) {
-        self.sim.set_drop_prob(p);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::Time;
 
     #[test]
     fn elects_a_leader() {
@@ -350,7 +227,7 @@ mod tests {
     fn commits_client_commands() {
         let mut cluster = RaftCluster::new(3, 1, 10, NetConfig::lan(), 2);
         assert!(cluster.run(Time::from_secs(10)));
-        assert_eq!(cluster.total_completed(), 10);
+        assert_eq!(cluster.completed_ops(), 10);
         assert!(cluster.check_log_matching() >= 10);
     }
 
@@ -358,7 +235,7 @@ mod tests {
     fn multiple_clients_complete() {
         let mut cluster = RaftCluster::new(5, 3, 15, NetConfig::lan(), 3);
         assert!(cluster.run(Time::from_secs(30)));
-        assert_eq!(cluster.total_completed(), 45);
+        assert_eq!(cluster.completed_ops(), 45);
         cluster.check_log_matching();
     }
 
@@ -371,9 +248,9 @@ mod tests {
         assert!(
             cluster.run(Time::from_secs(30)),
             "completed {}",
-            cluster.total_completed()
+            cluster.completed_ops()
         );
-        assert_eq!(cluster.total_completed(), 40);
+        assert_eq!(cluster.completed_ops(), 40);
         cluster.check_log_matching();
         let new_leader = cluster.leader();
         assert_ne!(new_leader, Some(leader));
@@ -434,7 +311,7 @@ mod tests {
         cluster.check_log_matching();
         let final_commit = cluster.replicas().map(|r| r.commit_index).max().unwrap();
         assert!(final_commit >= stale_commit);
-        assert_eq!(cluster.total_completed(), 30);
+        assert_eq!(cluster.completed_ops(), 30);
     }
 
     #[test]
@@ -603,9 +480,9 @@ mod tests {
         assert!(
             cluster.run(Time::from_secs(30)),
             "completed {}",
-            cluster.total_completed()
+            cluster.completed_ops()
         );
-        assert_eq!(cluster.total_completed(), 40);
+        assert_eq!(cluster.completed_ops(), 40);
         cluster.check_log_matching();
     }
 
@@ -621,7 +498,7 @@ mod tests {
             WorkloadMode::Open { interval_us: 200 },
         );
         assert!(cluster.run(Time::from_secs(30)));
-        assert_eq!(cluster.total_completed(), 60);
+        assert_eq!(cluster.completed_ops(), 60);
         cluster.check_log_matching();
         let h = &cluster.sim.metrics().batch_size;
         assert!(
@@ -712,7 +589,7 @@ mod tests {
         let mut cluster =
             RaftCluster::new(3, 1, 30, NetConfig::lan(), 22).with_durability(8, DiskModel::ssd());
         assert!(cluster.run(Time::from_secs(20)));
-        assert_eq!(cluster.total_completed(), 30);
+        assert_eq!(cluster.completed_ops(), 30);
         cluster.sim.run_for(300_000);
         let digest_before = {
             let crate::Proc::Replica(r) = cluster.sim.node(NodeId(2)) else {
@@ -755,9 +632,9 @@ mod tests {
         assert!(
             cluster.run(Time::from_secs(30)),
             "completed {}",
-            cluster.total_completed()
+            cluster.completed_ops()
         );
-        assert_eq!(cluster.total_completed(), 40);
+        assert_eq!(cluster.completed_ops(), 40);
         cluster.sim.run_for(500_000);
         cluster.check_log_matching();
         let crate::Proc::Replica(r) = cluster.sim.node(leader) else {
@@ -817,12 +694,12 @@ mod tests {
             panic!("node 3 is the client")
         };
         assert_eq!(
-            c.read_replies.get(&(3, 1)),
+            c.session.read_replies.get(&(3, 1)),
             Some(&(Some(want.clone()), ReadMode::ReadIndex)),
             "follower read must resolve via read-index"
         );
         assert_eq!(
-            c.read_replies.get(&(3, 2)),
+            c.session.read_replies.get(&(3, 2)),
             Some(&(Some(want), ReadMode::ReadIndex)),
             "leader read must resolve locally"
         );
@@ -867,7 +744,7 @@ mod tests {
         let crate::Proc::Client(c) = cluster.sim.node(client) else {
             panic!("node 5 is the client")
         };
-        let (_, mode) = c.read_replies.get(&(5, 7)).expect("nack reply");
+        let (_, mode) = c.session.read_replies.get(&(5, 7)).expect("nack reply");
         assert_eq!(*mode, ReadMode::Nack, "stale leader must refuse fast reads");
     }
 
@@ -915,7 +792,7 @@ mod tests {
         let run = |seed| {
             let mut cluster = RaftCluster::new(3, 2, 10, NetConfig::lan(), seed);
             cluster.run(Time::from_secs(10));
-            (cluster.total_completed(), cluster.sim.metrics().sent)
+            (cluster.completed_ops(), cluster.sim.metrics().sent)
         };
         assert_eq!(run(9), run(9));
     }

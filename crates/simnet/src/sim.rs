@@ -736,6 +736,77 @@ impl<N: Node> Sim<N> {
     }
 }
 
+/// The message-type-free part of a [`Sim`]: stepping, clock, counters,
+/// tracing and fault scheduling. Object safe, so a cluster over any node
+/// type can hand out `&mut dyn SimView` and generic drivers can advance
+/// and perturb it without knowing the protocol. Each method is the
+/// [`Sim`] method of the same name.
+pub trait SimView {
+    /// See [`Sim::now`].
+    fn now(&self) -> Time;
+    /// See [`Sim::run_until`].
+    fn run_until(&mut self, horizon: Time) -> RunOutcome;
+    /// See [`Sim::run_for`].
+    fn run_for(&mut self, micros: u64) -> RunOutcome;
+    /// See [`Sim::metrics`].
+    fn metrics(&self) -> &Metrics;
+    /// See [`Sim::enable_tracing`].
+    fn enable_tracing(&mut self, site: u32);
+    /// See [`Sim::causal_spans`].
+    fn causal_spans(&self) -> &[CausalSpan];
+    /// See [`Sim::open_instance_count`].
+    fn open_instance_count(&self) -> usize;
+    /// See [`Sim::crash_at`].
+    fn crash_at(&mut self, id: NodeId, at: Time);
+    /// See [`Sim::restart_at`].
+    fn restart_at(&mut self, id: NodeId, at: Time);
+    /// See [`Sim::partition_at`].
+    fn partition_at(&mut self, at: Time, groups: Vec<Vec<NodeId>>);
+    /// See [`Sim::heal_at`].
+    fn heal_at(&mut self, at: Time);
+    /// See [`Sim::set_drop_prob`].
+    fn set_drop_prob(&mut self, p: f64);
+}
+
+impl<N: Node> SimView for Sim<N> {
+    fn now(&self) -> Time {
+        Sim::now(self)
+    }
+    fn run_until(&mut self, horizon: Time) -> RunOutcome {
+        Sim::run_until(self, horizon)
+    }
+    fn run_for(&mut self, micros: u64) -> RunOutcome {
+        Sim::run_for(self, micros)
+    }
+    fn metrics(&self) -> &Metrics {
+        Sim::metrics(self)
+    }
+    fn enable_tracing(&mut self, site: u32) {
+        Sim::enable_tracing(self, site);
+    }
+    fn causal_spans(&self) -> &[CausalSpan] {
+        Sim::causal_spans(self)
+    }
+    fn open_instance_count(&self) -> usize {
+        Sim::open_instance_count(self)
+    }
+    fn crash_at(&mut self, id: NodeId, at: Time) {
+        Sim::crash_at(self, id, at);
+    }
+    fn restart_at(&mut self, id: NodeId, at: Time) {
+        Sim::restart_at(self, id, at);
+    }
+    fn partition_at(&mut self, at: Time, groups: Vec<Vec<NodeId>>) {
+        Sim::partition_at(self, at, groups);
+    }
+    fn heal_at(&mut self, at: Time) {
+        Sim::heal_at(self, at);
+    }
+    fn set_drop_prob(&mut self, p: f64) {
+        Sim::set_drop_prob(self, p);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

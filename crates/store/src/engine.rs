@@ -167,7 +167,11 @@ pub trait ShardEngine: ClusterDriver {
 
     /// The fast-read reply for `(client, seq)`, if one has arrived at any
     /// regional stub: `(value, mode)`.
-    fn read_reply(&self, client: u32, seq: u64) -> Option<(Option<String>, ReadMode)>;
+    fn read_reply(&self, client: u32, seq: u64) -> Option<(Option<String>, ReadMode)> {
+        self.sessions()
+            .into_iter()
+            .find_map(|s| s.read_replies.get(&(client, seq)).cloned())
+    }
 
     /// The replica a region-`region` client should aim its fast reads at:
     /// for Multi-Paxos the (lease-holding) leader — only it can serve; for
@@ -257,11 +261,6 @@ impl ShardEngine for MultiPaxosCluster {
         self.sim.inject(stub, NodeId::from(target), msg, at);
     }
 
-    fn read_reply(&self, client: u32, seq: u64) -> Option<(Option<String>, ReadMode)> {
-        self.clients()
-            .find_map(|c| c.read_replies.get(&(client, seq)).cloned())
-    }
-
     fn read_target(&self, _region: usize) -> usize {
         // Only the lease-holding leader can serve Multi-Paxos fast reads;
         // locality falls out of placement homing the leader near clients.
@@ -345,11 +344,6 @@ impl ShardEngine for RaftCluster {
             key: key.to_string(),
         };
         self.sim.inject(stub, NodeId::from(target), msg, at);
-    }
-
-    fn read_reply(&self, client: u32, seq: u64) -> Option<(Option<String>, ReadMode)> {
-        self.clients()
-            .find_map(|c| c.read_replies.get(&(client, seq)).cloned())
     }
 
     fn read_target(&self, region: usize) -> usize {

@@ -4,7 +4,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use forty::consensus_core::QuorumSpec;
+use forty::consensus_core::{ClusterDriver, QuorumSpec};
 use forty::paxos::MultiPaxosCluster;
 use forty::simnet::{NetConfig, Time};
 
@@ -29,7 +29,7 @@ fn main() {
 
     println!("── Multi-Paxos quickstart ─────────────────────────────");
     println!("replicas          : 3 (majority quorums of 2)");
-    println!("commands committed: {}", cluster.total_completed());
+    println!("commands committed: {}", cluster.completed_ops());
     println!("consistent prefix : {consistent_prefix} log entries on every replica");
     println!(
         "client latency    : mean {:.1}ms, p99 {:.1}ms",

@@ -9,7 +9,7 @@
 
 use forty::bft::hotstuff::{HsCluster, HsConfig};
 use forty::bft::pbft::PbftCluster;
-use forty::consensus_core::QuorumSpec;
+use forty::consensus_core::{ClusterDriver, QuorumSpec};
 use forty::paxos::MultiPaxosCluster;
 use forty::raft::RaftCluster;
 use forty::simnet::{NetConfig, NodeId, Time};
@@ -62,7 +62,7 @@ fn main() {
         print_row(&Row {
             name: "Multi-Paxos",
             replicas: 3,
-            completed: c.total_completed(),
+            completed: c.completed_ops(),
             messages: c.sim.metrics().sent,
             mean_latency_ms: c.latencies().mean() / 1_000.0,
             survived_crash: ok,
@@ -79,7 +79,7 @@ fn main() {
         print_row(&Row {
             name: "Raft",
             replicas: 3,
-            completed: c.total_completed(),
+            completed: c.completed_ops(),
             messages: c.sim.metrics().sent,
             mean_latency_ms: c.latencies().mean() / 1_000.0,
             survived_crash: ok,
@@ -96,7 +96,7 @@ fn main() {
         print_row(&Row {
             name: "PBFT",
             replicas: 4,
-            completed: c.total_completed(),
+            completed: c.completed_ops(),
             messages: c.sim.metrics().sent,
             mean_latency_ms: c.latencies().mean() / 1_000.0,
             survived_crash: ok,

@@ -6,7 +6,7 @@ use forty::bft::hotstuff::{HsCluster, HsConfig};
 use forty::bft::minbft::MinCluster;
 use forty::bft::pbft::PbftCluster;
 use forty::bft::zyzzyva::ZyzCluster;
-use forty::consensus_core::QuorumSpec;
+use forty::consensus_core::{ClusterDriver, QuorumSpec};
 use forty::paxos::MultiPaxosCluster;
 use forty::raft::RaftCluster;
 use forty::simnet::{NetConfig, Time};

@@ -13,7 +13,7 @@ use forty::atomic_commit::two_phase;
 use forty::atomic_commit::TxnState;
 use forty::bft::pbft::PbftCluster;
 use forty::bft::xft::is_anarchy;
-use forty::consensus_core::QuorumSpec;
+use forty::consensus_core::{ClusterDriver, QuorumSpec};
 use forty::paxos::MultiPaxosCluster;
 use forty::raft::RaftCluster;
 use forty::simnet::{DropAll, NetConfig, NodeId, Time};
@@ -44,7 +44,7 @@ fn paxos_survives_f_crashes_but_not_f_plus_one() {
     execute_plan(&mut ok.sim, &plan, 1_000, 0.0, |_, _| None);
     assert!(ok.run(Time::from_secs(30)), "f = 2 of 5 must be fine");
     let (entries, digests) = harvest_paxos(&ok);
-    let (history, issued) = client_evidence(ok.clients().map(|c| &c.history));
+    let (history, issued) = client_evidence(ok.clients().map(|c| &c.session.history));
     assert_eq!(smr_safety(&entries, &digests, &history, Some(&issued)), []);
 
     let mut dead = MultiPaxosCluster::new(
@@ -59,9 +59,9 @@ fn paxos_survives_f_crashes_but_not_f_plus_one() {
         dead.sim.crash_at(NodeId(id), Time::ZERO);
     }
     assert!(!dead.run(Time::from_millis(500)), "f+1 crashes must stall");
-    assert_eq!(dead.total_completed(), 0, "but never decide wrongly");
+    assert_eq!(dead.completed_ops(), 0, "but never decide wrongly");
     let (entries, digests) = harvest_paxos(&dead);
-    let (history, issued) = client_evidence(dead.clients().map(|c| &c.history));
+    let (history, issued) = client_evidence(dead.clients().map(|c| &c.session.history));
     assert_eq!(smr_safety(&entries, &digests, &history, Some(&issued)), []);
 }
 
@@ -79,9 +79,9 @@ fn raft_recovers_from_cascading_leader_crashes() {
         let at = c.sim.now() + 1;
         c.sim.crash_at(l2, at);
     }
-    assert!(c.run(Time::from_secs(60)), "completed {}", c.total_completed());
+    assert!(c.run(Time::from_secs(60)), "completed {}", c.completed_ops());
     let (entries, digests) = harvest_raft(&c);
-    let (history, issued) = client_evidence(c.clients().map(|cl| &cl.history));
+    let (history, issued) = client_evidence(c.clients().map(|cl| &cl.session.history));
     assert_eq!(smr_safety(&entries, &digests, &history, Some(&issued)), []);
 }
 
@@ -91,7 +91,7 @@ fn pbft_tolerates_a_fully_silent_byzantine_replica() {
     c.sim.set_filter(NodeId(2), Box::new(DropAll));
     assert!(c.run(Time::from_secs(30)));
     let (entries, digests) = harvest_pbft(&c);
-    let (history, _) = client_evidence(c.clients().map(|cl| &cl.history));
+    let (history, _) = client_evidence(c.clients().map(|cl| &cl.session.history));
     // `issued: None` — no validity check, the sim crypto has no client
     // signatures (see `nemesis::smr_safety`).
     assert_eq!(smr_safety(&entries, &digests, &history, None), []);
@@ -105,9 +105,9 @@ fn pbft_stalls_beyond_its_byzantine_bound() {
     c.sim.set_filter(NodeId(2), Box::new(DropAll));
     c.sim.set_filter(NodeId(3), Box::new(DropAll));
     assert!(!c.run(Time::from_secs(2)));
-    assert_eq!(c.total_completed(), 0);
+    assert_eq!(c.completed_ops(), 0);
     let (entries, digests) = harvest_pbft(&c);
-    let (history, _) = client_evidence(c.clients().map(|cl| &cl.history));
+    let (history, _) = client_evidence(c.clients().map(|cl| &cl.session.history));
     assert_eq!(smr_safety(&entries, &digests, &history, None), []);
 }
 
@@ -174,7 +174,7 @@ fn partitions_respect_quorum_boundaries() {
     execute_plan(&mut c.sim, &plan, 900_000, 0.0, |_, _| None);
     assert!(c.run(Time::from_secs(60)));
     let (entries, digests) = harvest_raft(&c);
-    let (history, issued) = client_evidence(c.clients().map(|cl| &cl.history));
+    let (history, issued) = client_evidence(c.clients().map(|cl| &cl.session.history));
     assert_eq!(smr_safety(&entries, &digests, &history, Some(&issued)), []);
 }
 

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 
 use forty::bft::pbft::PbftCluster;
-use forty::consensus_core::QuorumSpec;
+use forty::consensus_core::{ClusterDriver, QuorumSpec};
 use forty::paxos::MultiPaxosCluster;
 use forty::raft::RaftCluster;
 use forty::simnet::{NetConfig, NodeId, Time};
@@ -60,7 +60,7 @@ fn multipaxos_sweep_single_crash_schedules() {
             p.victim,
             p.crash_at,
             p.restart_at,
-            c.total_completed()
+            c.completed_ops()
         );
         // Safety: logs agree on the common applied prefix (panics inside
         // on violation).
@@ -84,7 +84,7 @@ fn raft_sweep_single_crash_schedules() {
             p.victim,
             p.crash_at,
             p.restart_at,
-            c.total_completed()
+            c.completed_ops()
         );
         c.check_log_matching();
     }
@@ -122,7 +122,7 @@ fn pbft_sweep_backup_crash_schedules() {
         assert!(
             done,
             "seed {seed}: crash n{victim} at {at}µs — only {} completed",
-            c.total_completed()
+            c.completed_ops()
         );
         c.check_state_agreement();
     }

@@ -5,7 +5,7 @@ use forty::bft::hotstuff::{HsCluster, HsConfig};
 use forty::bft::minbft::MinCluster;
 use forty::bft::pbft::PbftCluster;
 use forty::consensus_core::taxonomy::{all_cards, card, ComplexityClass, NodeBound};
-use forty::consensus_core::QuorumSpec;
+use forty::consensus_core::{ClusterDriver, QuorumSpec};
 use forty::paxos::MultiPaxosCluster;
 use forty::raft::RaftCluster;
 use forty::simnet::{NetConfig, Time};
@@ -77,7 +77,7 @@ fn paxos_node_bound_is_necessary_and_sufficient() {
     stuck.sim.crash_at(forty::simnet::NodeId(1), Time::ZERO);
     stuck.sim.crash_at(forty::simnet::NodeId(2), Time::ZERO);
     assert!(!stuck.run(Time::from_millis(500)));
-    assert_eq!(stuck.total_completed(), 0);
+    assert_eq!(stuck.completed_ops(), 0);
 }
 
 #[test]
