@@ -131,9 +131,9 @@ fn paxos_cell(threshold: Option<usize>, disk: &'static str) -> RecoveryPoint {
         engine: "paxos",
         threshold,
         disk,
-        recovered_floor: r.recovered_floor,
-        records_replayed: r.last_recovery_replayed,
-        recovery_io_us: r.last_recovery_io_us,
+        recovered_floor: r.durable.recovered_floor,
+        records_replayed: r.durable.last_recovery_replayed,
+        recovery_io_us: r.durable.last_recovery_io_us,
         checkpoints: s.snapshots_written,
         wal_appends: s.wal_appends,
         total_io_us: s.io_time_us,
@@ -157,9 +157,9 @@ fn raft_cell(threshold: Option<usize>, disk: &'static str) -> RecoveryPoint {
         engine: "raft",
         threshold,
         disk,
-        recovered_floor: r.recovered_floor,
-        records_replayed: r.last_recovery_replayed,
-        recovery_io_us: r.last_recovery_io_us,
+        recovered_floor: r.durable.recovered_floor,
+        records_replayed: r.durable.last_recovery_replayed,
+        recovery_io_us: r.durable.last_recovery_io_us,
         checkpoints: s.snapshots_written,
         wal_appends: s.wal_appends,
         total_io_us: s.io_time_us,

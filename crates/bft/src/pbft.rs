@@ -32,7 +32,7 @@ use consensus_core::driver::{
 use consensus_core::session::{self, ClientAdapter, Incoming, Retry, Session};
 use consensus_core::smr::Slot;
 use consensus_core::workload::WorkloadMode;
-use consensus_core::{Command, KvCommand, KvResponse, ReplicatedLog, StateMachine};
+use consensus_core::{Command, KvBatchMachine, KvCommand, KvResponse, ReplicatedLog, StateMachine};
 use rand_chacha::ChaCha20Rng;
 use simnet::{
     CncPhase, Context, FilterAction, FnFilter, NetConfig, Node, NodeId, Sim, SimView, Timer,
@@ -160,58 +160,12 @@ impl simnet::Payload for PbftMsg {
     }
 }
 
-/// The PBFT execution machine: a KV store plus the client dedup table,
+/// The PBFT execution machine: the shared deduplicating KV machine,
 /// executing one *batch* of commands per log slot (sequence number).
 /// Identical state evolution to the unbatched machine given the same
 /// flattened command sequence, so state digests are comparable across
 /// batch configurations.
-#[derive(Debug, Default)]
-pub struct BatchMachine {
-    kv: consensus_core::KvStore,
-    client_table: BTreeMap<u32, (u64, KvResponse)>,
-}
-
-impl BatchMachine {
-    /// Cached reply for `(client, seq)` if that command already applied.
-    pub fn cached(&self, client: u32, seq: u64) -> Option<&KvResponse> {
-        self.client_table
-            .get(&client)
-            .filter(|(s, _)| *s >= seq)
-            .map(|(_, out)| out)
-    }
-
-    /// Applies one command with client-table dedup and returns the reply.
-    fn apply_one(&mut self, cmd: &Command<KvCommand>) -> (u32, u64, KvResponse) {
-        if let Some((last, out)) = self.client_table.get(&cmd.client) {
-            if cmd.seq <= *last {
-                return (cmd.client, cmd.seq, out.clone());
-            }
-        }
-        let out = self.kv.apply(&cmd.op);
-        self.client_table.insert(cmd.client, (cmd.seq, out.clone()));
-        (cmd.client, cmd.seq, out)
-    }
-}
-
-impl StateMachine for BatchMachine {
-    type Op = Vec<Command<KvCommand>>;
-    /// One `(client, seq, reply)` per command in the batch.
-    type Output = Vec<(u32, u64, KvResponse)>;
-
-    fn apply(&mut self, op: &Self::Op) -> Self::Output {
-        op.iter().map(|c| self.apply_one(c)).collect()
-    }
-
-    fn digest(&self) -> u64 {
-        let mut h = self.kv.digest();
-        for (c, (s, _)) in &self.client_table {
-            h = h
-                .rotate_left(7)
-                .wrapping_add(u64::from(*c).wrapping_mul(31).wrapping_add(*s));
-        }
-        h
-    }
-}
+pub type BatchMachine = KvBatchMachine<Vec<Command<KvCommand>>>;
 
 #[derive(Debug, Default)]
 struct Instance {

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::workload::{KvMix, KvWorkload, LatencyRecorder};
 use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse, StateMachine};
-use simnet::{CncPhase, Context, NetConfig, Node, NodeId, RunOutcome, Sim, Time, Timer};
+use simnet::{CncPhase, Context, NetConfig, Node, NodeId, Sim, Time, Timer};
 
 /// Span protocol label; instances are sequence numbers.
 const SPAN: &str = "seemore";
@@ -563,15 +563,7 @@ impl SmCluster {
 
     /// Runs to completion or `horizon`.
     pub fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim.run_for(10_000);
-            if self.client().done() {
-                return true;
-            }
-            if self.sim.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.client().done();
-            }
-        }
+        simnet::run_in_chunks(self, horizon, |c| &mut c.sim, |c| c.client().done())
     }
 
     /// The client.

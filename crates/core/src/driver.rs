@@ -247,15 +247,7 @@ pub trait ClusterDriver {
     /// went quiescent, or `horizon` passed; returns whether all clients
     /// completed.
     fn run(&mut self, horizon: Time) -> bool {
-        loop {
-            let outcome = self.sim_mut().run_for(10_000);
-            if self.all_done() {
-                return true;
-            }
-            if self.now() >= horizon || outcome == RunOutcome::Quiescent {
-                return self.all_done();
-            }
-        }
+        simnet::run_in_chunks(self, horizon, |c| c.sim_mut(), |c| c.all_done())
     }
 
     /// Whether every client completed its workload.

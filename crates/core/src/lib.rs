@@ -19,6 +19,10 @@
 //!   counter, bank).
 //! * [`workload`] — deterministic client workload generators and latency
 //!   recording shared by all protocol crates and the bench harness.
+//! * [`durable`] — the durable KV layer Multi-Paxos and Raft share: one
+//!   codec for commands, replies, log ops and checkpoint bodies, and the
+//!   [`durable::DurablePlane`] each replica holds (engine, WAL sync, index
+//!   mirror and rebuild, transaction-decision table, recovery counters).
 //! * [`driver`] — the unified [`ClusterDriver`] API (construct from seed,
 //!   step, fault, harvest) plus the shared [`BatchConfig`]
 //!   batching/pipelining knob; bench and nemesis drive every SMR protocol
@@ -40,6 +44,7 @@
 pub mod ballot;
 pub mod cnc;
 pub mod driver;
+pub mod durable;
 pub mod history;
 pub mod quorum;
 pub mod session;
@@ -53,7 +58,10 @@ pub use driver::{BatchConfig, ByzantineWindow, ClusterDriver, DecidedEntry, Driv
 pub use history::{ClientRecord, HistorySink};
 pub use quorum::QuorumSpec;
 pub use workload::WorkloadMode;
-pub use smr::{Bank, BankOp, BankResponse, Command, DedupKvMachine, KvCommand, KvResponse, KvStore, ReadMode, ReplicatedLog, SmrOp, StateMachine};
+pub use smr::{
+    Bank, BankOp, BankResponse, CmdOp, Command, DedupKvMachine, KvBatchMachine, KvCommand, KvResponse,
+    KvStore, ReadMode, ReplicatedLog, SmrOp, StateMachine,
+};
 pub use taxonomy::{
     ComplexityClass, FailureModel, NodeBound, ParticipantAwareness, ProcessingStrategy,
     ProtocolCard,

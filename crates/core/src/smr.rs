@@ -742,6 +742,20 @@ impl DedupKvMachine {
     pub fn restore(kv: KvStore, client_table: BTreeMap<u32, (u64, KvResponse)>) -> Self {
         DedupKvMachine { kv, client_table }
     }
+
+    /// Applies one client command unless the client table shows it (or a
+    /// later command of the same client) already applied, in which case the
+    /// cached reply comes back and the store is untouched.
+    pub fn apply_cmd(&mut self, cmd: &Command<KvCommand>) -> KvResponse {
+        if let Some((last, out)) = self.client_table.get(&cmd.client) {
+            if cmd.seq <= *last {
+                return out.clone();
+            }
+        }
+        let out = self.kv.apply(&cmd.op);
+        self.client_table.insert(cmd.client, (cmd.seq, out.clone()));
+        out
+    }
 }
 
 impl StateMachine for DedupKvMachine {
@@ -751,16 +765,7 @@ impl StateMachine for DedupKvMachine {
     fn apply(&mut self, op: &SmrOp) -> Option<KvResponse> {
         match op {
             SmrOp::Noop => None,
-            SmrOp::Cmd(cmd) => {
-                if let Some((last, out)) = self.client_table.get(&cmd.client) {
-                    if cmd.seq <= *last {
-                        return Some(out.clone());
-                    }
-                }
-                let out = self.kv.apply(&cmd.op);
-                self.client_table.insert(cmd.client, (cmd.seq, out.clone()));
-                Some(out)
-            }
+            SmrOp::Cmd(cmd) => Some(self.apply_cmd(cmd)),
         }
     }
 
@@ -772,6 +777,100 @@ impl StateMachine for DedupKvMachine {
                 .wrapping_add(u64::from(*c).wrapping_mul(31).wrapping_add(*s));
         }
         h
+    }
+}
+
+/// A log op carrying zero or more client commands, applied in order: the
+/// shape the shared WAL codec persists ([`crate::durable`]: tag 0 no-op,
+/// 1 one command, 2 a batch) and [`KvBatchMachine`] applies.
+pub trait CmdOp: Clone + fmt::Debug + Sized {
+    /// The commands, in apply order (empty for a no-op).
+    fn commands(&self) -> &[Command<KvCommand>];
+    /// Whether the op is a batch (WAL tag 2) rather than a lone command.
+    fn is_batch(&self) -> bool;
+    /// Rebuilds an op from decoded commands; `None` when this log has no
+    /// such op (Raft entries never hold batches).
+    fn from_commands(cmds: Vec<Command<KvCommand>>, batch: bool) -> Option<Self>;
+}
+
+impl CmdOp for SmrOp {
+    fn commands(&self) -> &[Command<KvCommand>] {
+        match self {
+            SmrOp::Noop => &[],
+            SmrOp::Cmd(cmd) => std::slice::from_ref(cmd),
+        }
+    }
+
+    fn is_batch(&self) -> bool {
+        false
+    }
+
+    fn from_commands(mut cmds: Vec<Command<KvCommand>>, batch: bool) -> Option<Self> {
+        (!batch).then(|| cmds.pop().map_or(SmrOp::Noop, SmrOp::Cmd))
+    }
+}
+
+/// PBFT's slot op: one ordered batch per sequence number.
+impl CmdOp for Vec<Command<KvCommand>> {
+    fn commands(&self) -> &[Command<KvCommand>] {
+        self
+    }
+
+    fn is_batch(&self) -> bool {
+        true
+    }
+
+    fn from_commands(cmds: Vec<Command<KvCommand>>, _batch: bool) -> Option<Self> {
+        Some(cmds)
+    }
+}
+
+/// The [`DedupKvMachine`] applying a whole [`CmdOp`] per log slot, for logs
+/// whose slots may batch commands (Multi-Paxos, PBFT). Same state and
+/// digest as applying the flattened command sequence one by one.
+#[derive(Clone, Debug)]
+pub struct KvBatchMachine<Op> {
+    inner: DedupKvMachine,
+    op: std::marker::PhantomData<fn(&Op)>,
+}
+
+impl<Op> Default for KvBatchMachine<Op> {
+    fn default() -> Self {
+        DedupKvMachine::default().into()
+    }
+}
+
+impl<Op> From<DedupKvMachine> for KvBatchMachine<Op> {
+    fn from(inner: DedupKvMachine) -> Self {
+        KvBatchMachine {
+            inner,
+            op: std::marker::PhantomData,
+        }
+    }
+}
+
+impl<Op> std::ops::Deref for KvBatchMachine<Op> {
+    type Target = DedupKvMachine;
+
+    fn deref(&self) -> &DedupKvMachine {
+        &self.inner
+    }
+}
+
+impl<Op: CmdOp> StateMachine for KvBatchMachine<Op> {
+    type Op = Op;
+    /// One `(client, seq, reply)` per command in the op.
+    type Output = Vec<(u32, u64, KvResponse)>;
+
+    fn apply(&mut self, op: &Op) -> Self::Output {
+        op.commands()
+            .iter()
+            .map(|c| (c.client, c.seq, self.inner.apply_cmd(c)))
+            .collect()
+    }
+
+    fn digest(&self) -> u64 {
+        self.inner.digest()
     }
 }
 

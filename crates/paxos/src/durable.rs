@@ -1,7 +1,10 @@
 //! On-disk formats for durable Multi-Paxos: WAL records and machine
 //! snapshots, hand-encoded via [`storage::codec`] (the workspace has no
 //! serde derive — every byte here is explicit, which also makes the WAL
-//! record format table in the generated docs honest).
+//! record format table in the generated docs honest). Commands, replies,
+//! log ops and the machine body use the codec shared with Raft,
+//! [`consensus_core::durable`]; this module adds only the Multi-Paxos
+//! records and the snapshot header.
 //!
 //! ## WAL records
 //!
@@ -28,11 +31,13 @@
 //!
 //! ## Snapshot blob
 //!
-//! `applied_len`, then the [`MpMachine`]: KV applied-counter, KV entries,
-//! client table. Restoring must reproduce the machine digest bit-for-bit —
+//! `applied_len` (`u64`), then the shared machine body
+//! ([`consensus_core::durable::put_machine`]): KV applied-counter, KV
+//! entries, client table. Restoring must reproduce the machine digest bit-for-bit —
 //! the nemesis fingerprint oracle depends on it.
 
-use consensus_core::{Ballot, Command, KvCommand, KvResponse, KvStore};
+use consensus_core::durable::{get_machine, get_op, put_machine, put_op};
+use consensus_core::Ballot;
 use storage::codec::{put_str, put_u32, put_u64, Reader};
 
 use crate::multi::{MpMachine, MpOp};
@@ -81,155 +86,6 @@ fn get_ballot(r: &mut Reader) -> Option<Ballot> {
     let num = r.get_u64()?;
     let pid = r.get_u32()?;
     Some(Ballot::new(num, pid))
-}
-
-fn put_kv_command(buf: &mut Vec<u8>, op: &KvCommand) {
-    match op {
-        KvCommand::Put { key, value } => {
-            buf.push(0);
-            put_str(buf, key);
-            put_str(buf, value);
-        }
-        KvCommand::Get { key } => {
-            buf.push(1);
-            put_str(buf, key);
-        }
-        KvCommand::Delete { key } => {
-            buf.push(2);
-            put_str(buf, key);
-        }
-        KvCommand::Cas { key, expect, new } => {
-            buf.push(3);
-            put_str(buf, key);
-            put_str(buf, expect);
-            put_str(buf, new);
-        }
-        KvCommand::Range { start, end, limit } => {
-            buf.push(4);
-            put_str(buf, start);
-            put_str(buf, end);
-            put_u64(buf, *limit as u64);
-        }
-    }
-}
-
-fn get_kv_command(r: &mut Reader) -> Option<KvCommand> {
-    let tag = r.get_u32()?;
-    Some(match tag {
-        0 => KvCommand::Put {
-            key: r.get_str()?,
-            value: r.get_str()?,
-        },
-        1 => KvCommand::Get { key: r.get_str()? },
-        2 => KvCommand::Delete { key: r.get_str()? },
-        3 => KvCommand::Cas {
-            key: r.get_str()?,
-            expect: r.get_str()?,
-            new: r.get_str()?,
-        },
-        4 => KvCommand::Range {
-            start: r.get_str()?,
-            end: r.get_str()?,
-            limit: r.get_u64()? as usize,
-        },
-        _ => return None,
-    })
-}
-
-fn put_command(buf: &mut Vec<u8>, cmd: &Command<KvCommand>) {
-    put_u32(buf, cmd.client);
-    put_u64(buf, cmd.seq);
-    let mut inner = Vec::new();
-    put_kv_command(&mut inner, &cmd.op);
-    // Tag is a byte on the wire; re-read as u32 for uniformity.
-    let tag = inner.remove(0);
-    put_u32(buf, u32::from(tag));
-    buf.extend_from_slice(&inner);
-}
-
-fn get_command(r: &mut Reader) -> Option<Command<KvCommand>> {
-    let client = r.get_u32()?;
-    let seq = r.get_u64()?;
-    let op = get_kv_command(r)?;
-    Some(Command { client, seq, op })
-}
-
-fn put_op(buf: &mut Vec<u8>, op: &MpOp) {
-    match op {
-        MpOp::Noop => put_u32(buf, 0),
-        MpOp::Cmd(cmd) => {
-            put_u32(buf, 1);
-            put_command(buf, cmd);
-        }
-        MpOp::Batch(cmds) => {
-            put_u32(buf, 2);
-            put_u32(buf, cmds.len() as u32);
-            for c in cmds {
-                put_command(buf, c);
-            }
-        }
-    }
-}
-
-fn get_op(r: &mut Reader) -> Option<MpOp> {
-    Some(match r.get_u32()? {
-        0 => MpOp::Noop,
-        1 => MpOp::Cmd(get_command(r)?),
-        2 => {
-            let n = r.get_u32()? as usize;
-            let mut cmds = Vec::with_capacity(n);
-            for _ in 0..n {
-                cmds.push(get_command(r)?);
-            }
-            MpOp::Batch(cmds)
-        }
-        _ => return None,
-    })
-}
-
-fn put_response(buf: &mut Vec<u8>, out: &KvResponse) {
-    match out {
-        KvResponse::Ok => put_u32(buf, 0),
-        KvResponse::Value(None) => put_u32(buf, 1),
-        KvResponse::Value(Some(v)) => {
-            put_u32(buf, 2);
-            put_str(buf, v);
-        }
-        KvResponse::CasResult { swapped } => {
-            put_u32(buf, 3);
-            put_u32(buf, u32::from(*swapped));
-        }
-        KvResponse::Entries(entries) => {
-            put_u32(buf, 4);
-            put_u32(buf, entries.len() as u32);
-            for (k, v) in entries {
-                put_str(buf, k);
-                put_str(buf, v);
-            }
-        }
-    }
-}
-
-fn get_response(r: &mut Reader) -> Option<KvResponse> {
-    Some(match r.get_u32()? {
-        0 => KvResponse::Ok,
-        1 => KvResponse::Value(None),
-        2 => KvResponse::Value(Some(r.get_str()?)),
-        3 => KvResponse::CasResult {
-            swapped: r.get_u32()? != 0,
-        },
-        4 => {
-            let n = r.get_u32()? as usize;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = r.get_str()?;
-                let v = r.get_str()?;
-                entries.push((k, v));
-            }
-            KvResponse::Entries(entries)
-        }
-        _ => return None,
-    })
 }
 
 /// Encodes a WAL record.
@@ -290,18 +146,7 @@ pub fn decode_record(bytes: &[u8]) -> Option<WalRecord> {
 pub fn encode_snapshot(machine: &MpMachine, applied_len: usize) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u64(&mut buf, applied_len as u64);
-    put_u64(&mut buf, machine.kv().applied());
-    put_u32(&mut buf, machine.kv().len() as u32);
-    for (k, v) in machine.kv().iter() {
-        put_str(&mut buf, k);
-        put_str(&mut buf, v);
-    }
-    put_u32(&mut buf, machine.client_table.len() as u32);
-    for (client, (seq, out)) in &machine.client_table {
-        put_u32(&mut buf, *client);
-        put_u64(&mut buf, *seq);
-        put_response(&mut buf, out);
-    }
+    put_machine(&mut buf, machine);
     buf
 }
 
@@ -310,33 +155,14 @@ pub fn encode_snapshot(machine: &MpMachine, applied_len: usize) -> Vec<u8> {
 pub fn decode_snapshot(bytes: &[u8]) -> Option<(MpMachine, usize)> {
     let mut r = Reader::new(bytes);
     let applied_len = r.get_u64()? as usize;
-    let kv_applied = r.get_u64()?;
-    let n_kv = r.get_u32()? as usize;
-    let mut entries = Vec::with_capacity(n_kv);
-    for _ in 0..n_kv {
-        let k = r.get_str()?;
-        let v = r.get_str()?;
-        entries.push((k, v));
-    }
-    let n_clients = r.get_u32()? as usize;
-    let mut client_table = std::collections::BTreeMap::new();
-    for _ in 0..n_clients {
-        let client = r.get_u32()?;
-        let seq = r.get_u64()?;
-        let out = get_response(&mut r)?;
-        client_table.insert(client, (seq, out));
-    }
-    let machine = MpMachine {
-        kv: KvStore::restore(entries, kv_applied),
-        client_table,
-    };
+    let machine = get_machine(&mut r)?.into();
     (r.remaining() == 0).then_some((machine, applied_len))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consensus_core::StateMachine;
+    use consensus_core::{Command, KvCommand, StateMachine};
 
     fn cmd(client: u32, seq: u64, op: KvCommand) -> Command<KvCommand> {
         Command { client, seq, op }
@@ -413,44 +239,25 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_digest_exactly() {
+        // The machine body's own round-trip and truncation tests live with
+        // the shared codec; this one covers the `applied_len` header.
         let mut m = MpMachine::default();
-        for i in 0..20u32 {
-            m.apply(&MpOp::Cmd(cmd(
-                i % 3,
-                u64::from(i),
-                KvCommand::Put {
-                    key: format!("k{i}"),
-                    value: format!("v{i}"),
-                },
-            )));
-        }
-        m.apply(&MpOp::Cmd(cmd(0, 50, KvCommand::Get { key: "k1".into() })));
-        m.apply(&MpOp::Cmd(cmd(
-            1,
-            51,
-            KvCommand::Cas {
-                key: "k2".into(),
-                expect: "nope".into(),
-                new: "x".into(),
-            },
-        )));
-        m.apply(&MpOp::Cmd(cmd(
-            2,
-            52,
-            KvCommand::Range {
-                start: "k0".into(),
-                end: "k3".into(),
-                limit: 8,
-            },
-        )));
+        m.apply(&MpOp::Batch(vec![
+            cmd(1, 1, KvCommand::Put {
+                key: "k".into(),
+                value: "v".into(),
+            }),
+            cmd(2, 1, KvCommand::Get { key: "k".into() }),
+        ]));
         let blob = encode_snapshot(&m, 23);
         let (restored, applied_len) = decode_snapshot(&blob).expect("decodes");
         assert_eq!(applied_len, 23);
         assert_eq!(restored.digest(), m.digest(), "digest must survive");
-        assert_eq!(restored.kv().applied(), m.kv().applied());
-        // Truncated blobs never half-decode.
-        for cut in 0..blob.len() {
+        for cut in 0..8 {
             assert!(decode_snapshot(&blob[..cut]).is_none(), "cut {cut}");
         }
+        let mut trailing = blob;
+        trailing.push(0);
+        assert!(decode_snapshot(&trailing).is_none(), "trailing bytes are corruption");
     }
 }

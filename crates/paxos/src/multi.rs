@@ -21,18 +21,22 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use consensus_core::driver::{BatchConfig, ClusterDriver, DecidedEntry, DriverConfig};
+use consensus_core::durable::DurablePlane;
 use consensus_core::quorum::Phase;
 use consensus_core::session::{self, ClientAdapter, Incoming, Retry, Session};
 use consensus_core::smr::Slot;
 use consensus_core::workload::WorkloadMode;
 use consensus_core::{
-    Ballot, Command, KvCommand, KvResponse, QuorumSpec, ReadMode, ReplicatedLog, StateMachine,
+    Ballot, CmdOp, Command, KvBatchMachine, KvCommand, KvResponse, QuorumSpec, ReadMode,
+    ReplicatedLog, StateMachine,
 };
 use simnet::causal::cat;
 use simnet::{
     CncPhase, Context, DiskModel, NetConfig, Node, NodeId, Payload, Sim, SimView, Time, Timer,
     TraceCtx,
 };
+
+use crate::durable::{decode_record, decode_snapshot, encode_record, encode_snapshot, WalRecord};
 
 /// Span protocol label; instances are log indices.
 const SPAN: &str = "multi-paxos";
@@ -51,66 +55,32 @@ pub enum MpOp {
     Batch(Vec<Command<KvCommand>>),
 }
 
-/// The replicated state machine: a KV store plus the client table used for
-/// duplicate suppression (both are deterministic state).
-#[derive(Clone, Debug, Default)]
-pub struct MpMachine {
-    pub(crate) kv: consensus_core::KvStore,
-    pub(crate) client_table: BTreeMap<u32, (u64, KvResponse)>,
-}
-
-impl MpMachine {
-    /// Cached reply for `(client, seq)` if that command already applied.
-    pub fn cached(&self, client: u32, seq: u64) -> Option<&KvResponse> {
-        self.client_table
-            .get(&client)
-            .filter(|(s, _)| *s >= seq)
-            .map(|(_, out)| out)
-    }
-
-    /// The underlying store (assertions in tests).
-    pub fn kv(&self) -> &consensus_core::KvStore {
-        &self.kv
-    }
-}
-
-impl MpMachine {
-    /// Applies one command with client-table dedup and returns the reply.
-    fn apply_one(&mut self, cmd: &Command<KvCommand>) -> (u32, u64, KvResponse) {
-        if let Some((last, out)) = self.client_table.get(&cmd.client) {
-            if cmd.seq <= *last {
-                return (cmd.client, cmd.seq, out.clone());
-            }
-        }
-        let out = self.kv.apply(&cmd.op);
-        self.client_table.insert(cmd.client, (cmd.seq, out.clone()));
-        (cmd.client, cmd.seq, out)
-    }
-}
-
-impl StateMachine for MpMachine {
-    type Op = MpOp;
-    /// One `(client, seq, reply)` per command in the op (empty for no-ops).
-    type Output = Vec<(u32, u64, KvResponse)>;
-
-    fn apply(&mut self, op: &MpOp) -> Self::Output {
-        match op {
-            MpOp::Noop => Vec::new(),
-            MpOp::Cmd(cmd) => vec![self.apply_one(cmd)],
-            MpOp::Batch(cmds) => cmds.iter().map(|c| self.apply_one(c)).collect(),
+impl CmdOp for MpOp {
+    fn commands(&self) -> &[Command<KvCommand>] {
+        match self {
+            MpOp::Noop => &[],
+            MpOp::Cmd(cmd) => std::slice::from_ref(cmd),
+            MpOp::Batch(cmds) => cmds,
         }
     }
 
-    fn digest(&self) -> u64 {
-        let mut h = self.kv.digest();
-        for (c, (s, _)) in &self.client_table {
-            h = h
-                .rotate_left(7)
-                .wrapping_add(u64::from(*c).wrapping_mul(31).wrapping_add(*s));
-        }
-        h
+    fn is_batch(&self) -> bool {
+        matches!(self, MpOp::Batch(_))
+    }
+
+    fn from_commands(mut cmds: Vec<Command<KvCommand>>, batch: bool) -> Option<Self> {
+        Some(if batch {
+            MpOp::Batch(cmds)
+        } else {
+            cmds.pop().map_or(MpOp::Noop, MpOp::Cmd)
+        })
     }
 }
+
+/// The replicated state machine: the shared deduplicating KV machine,
+/// applying every command of a slot in order (both the store and the
+/// client table are deterministic state).
+pub type MpMachine = KvBatchMachine<MpOp>;
 
 /// Multi-Paxos wire messages.
 #[derive(Clone, Debug)]
@@ -278,7 +248,7 @@ impl Payload for MpMsg {
                 32 + entries.iter().map(|(_, _, op)| op_bytes(op)).sum::<usize>()
             }
             MpMsg::Accept { op, .. } | MpMsg::Decide { op, .. } => 16 + op_bytes(op),
-            MpMsg::InstallState { machine, .. } => 64 + 48 * machine.kv.len(),
+            MpMsg::InstallState { machine, .. } => 64 + 48 * machine.kv().len(),
             _ => 64,
         }
     }
@@ -290,14 +260,6 @@ const BATCH_FLUSH: u64 = 4;
 
 /// Heartbeat period (µs).
 const HB_PERIOD: u64 = 10_000;
-
-/// Whether an applied write resolves a 2PC/commit decision record: a
-/// decision key whose new value is a final `commit`/`abort` (the `pending`
-/// init is not a resolution).
-fn is_txn_decision(key: &str, value: &str) -> bool {
-    consensus_core::txn::parse_decision_key(key).is_some()
-        && consensus_core::txn::TxnDecision::parse(value).is_some()
-}
 
 #[derive(Debug)]
 struct Proposal {
@@ -343,11 +305,12 @@ pub struct Replica {
     /// Whether the open batch's `max_delay` has expired (flush even if
     /// underfull as soon as the pipeline window allows).
     overdue: bool,
-    /// Durable storage, when enabled: promises/accepts/decides go to its
-    /// WAL *before* the ack they justify leaves, checkpoints absorb the
-    /// applied prefix, and the applied KV state is mirrored into its index.
-    /// `None` keeps the historical everything-in-RAM behaviour.
-    engine: Option<Box<dyn storage::StorageEngine>>,
+    /// Durable storage, when an engine is attached: promises/accepts/
+    /// decides go to its WAL *before* the ack they justify leaves,
+    /// checkpoints absorb the applied prefix, and every applied command is
+    /// mirrored into its index. Also holds the recovery counters and the
+    /// transaction-decision table.
+    pub durable: DurablePlane,
     /// Take a checkpoint every this-many newly applied entries.
     /// `usize::MAX` (the default) disables snapshots entirely.
     snapshot_threshold: usize,
@@ -362,19 +325,6 @@ pub struct Replica {
     /// the current election, and who reported it.
     prepare_max_floor: usize,
     prepare_floor_holder: NodeId,
-    /// Floor restored by the most recent crash recovery (0 = none / cold).
-    pub recovered_floor: usize,
-    /// Entries replayed from the WAL by the most recent recovery.
-    pub last_recovery_replayed: u64,
-    /// Disk time the most recent recovery charged (µs).
-    pub last_recovery_io_us: u64,
-    /// Durable mode: transaction decision records (`~dec.<tid>` → value)
-    /// this replica applied, persisted as first-class `TxnDecision` WAL
-    /// records *before* the releasing reply leaves and rebuilt on recovery
-    /// (from snapshot + WAL) without replaying the command history.
-    txn_decisions: BTreeMap<String, String>,
-    /// `TxnDecision` records appended over this replica's lifetime.
-    pub txn_decisions_logged: u64,
     /// Leader-lease duration (µs). `0` — the default — disables the lease
     /// fast path entirely: no extra messages, timers, or RNG draws, so
     /// lease-off runs stay bit-identical to the pre-lease protocol.
@@ -432,18 +382,13 @@ impl Replica {
             queue: Vec::new(),
             flush_armed: false,
             overdue: false,
-            engine: None,
+            durable: DurablePlane::default(),
             snapshot_threshold: usize::MAX,
             snapshot_floor: 0,
             snapshots_taken: 0,
             snapshots_installed: 0,
             prepare_max_floor: 0,
             prepare_floor_holder: NodeId(0),
-            recovered_floor: 0,
-            last_recovery_replayed: 0,
-            last_recovery_io_us: 0,
-            txn_decisions: BTreeMap::new(),
-            txn_decisions_logged: 0,
             lease_us: 0,
             max_skew_us: 0,
             lease_holder: None,
@@ -474,13 +419,6 @@ impl Replica {
         self
     }
 
-    /// Attaches a durable storage engine: the WAL-before-ack discipline,
-    /// checkpointing and crash recovery all activate.
-    pub fn with_engine(mut self, engine: Box<dyn storage::StorageEngine>) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
     /// Whether snapshots/compaction are enabled (gates the catch-up
     /// protocol so default runs stay message-for-message identical).
     fn compaction_enabled(&self) -> bool {
@@ -489,27 +427,12 @@ impl Replica {
 
     /// Storage counters, when a durable engine is attached.
     pub fn storage_stats(&self) -> Option<storage::StorageStats> {
-        self.engine.as_ref().map(|e| e.stats())
+        self.durable.stats()
     }
 
     /// Appends a protocol record to the engine's WAL (no-op without one).
-    fn wal_log(&mut self, rec: crate::durable::WalRecord) {
-        if let Some(e) = self.engine.as_mut() {
-            e.log_record(&crate::durable::encode_record(&rec));
-        }
-    }
-
-    /// Group-commits everything this handler logged (no-op without engine)
-    /// and charges the modeled device time to the current causal trace.
-    fn wal_sync(&mut self, ctx: &mut Context<MpMsg>) {
-        if let Some(e) = self.engine.as_mut() {
-            let before = e.stats().io_time_us;
-            e.sync();
-            let spent = e.stats().io_time_us - before;
-            if spent > 0 {
-                ctx.charge_io("wal-sync", spent);
-            }
-        }
+    fn wal_log(&mut self, rec: WalRecord) {
+        self.durable.log(|| encode_record(&rec));
     }
 
     fn arm_election_timer(&mut self, ctx: &mut Context<MpMsg>) {
@@ -702,11 +625,23 @@ impl Replica {
         }
         let outputs = self.log.decide(index, op);
         for (i, replies) in outputs {
-            if self.mirror_applied(i, &replies) {
+            // Mirror every command of the slot, deduplicated or not (a
+            // known defect: a duplicate re-mirrors its payload over newer
+            // state). The replies carry each command's actual outcome.
+            let Slot::Applied(op) = self.log.slot(i) else {
+                unreachable!("slot {i} was just applied")
+            };
+            let outs = replies.iter().map(|(_, _, out)| out);
+            let decisions =
+                self.durable.mirror(self.log.machine().kv(), op.commands().iter().zip(outs));
+            if !decisions.is_empty() {
                 // WAL-before-decision: the slot resolved a transaction
                 // decision record — its dedicated WAL entry must be on disk
                 // before the reply that releases the transaction leaves.
-                self.wal_sync(ctx);
+                for (key, value) in decisions {
+                    self.wal_log(WalRecord::TxnDecision { key, value });
+                }
+                self.durable.sync(ctx);
             }
             for (client, seq, output) in replies {
                 if let Some(client_node) = self.pending_reply.remove(&(client, seq)) {
@@ -724,114 +659,6 @@ impl Replica {
         self.maybe_snapshot();
         // A decided slot may free pipeline-window room for queued commands.
         self.try_flush(ctx);
-    }
-
-    /// Mirrors a freshly applied slot's effects into the durable engine's
-    /// primary index. The replies carry each command's actual outcome, so a
-    /// failed CAS mirrors nothing and a deduped re-apply is idempotent.
-    ///
-    /// Returns `true` when the slot resolved a transaction decision record:
-    /// the outcome was additionally appended to the WAL as a first-class
-    /// [`crate::durable::WalRecord::TxnDecision`], and the caller must sync
-    /// before the releasing reply leaves.
-    fn mirror_applied(&mut self, index: usize, replies: &[(u32, u64, KvResponse)]) -> bool {
-        if self.engine.is_none() {
-            return false;
-        }
-        let cmds: Vec<Command<KvCommand>> = match self.log.slot(index) {
-            Slot::Applied(MpOp::Cmd(c)) => vec![c.clone()],
-            Slot::Applied(MpOp::Batch(cs)) => cs.clone(),
-            _ => return false,
-        };
-        // Authoritative answers for any range scans in the slot, computed
-        // from the machine *after* the whole slot applied — which is the
-        // state the engine's index reaches once the mirror loop finishes.
-        type RangeCheck = (String, String, usize, Vec<(String, String)>);
-        let range_checks: Vec<RangeCheck> = cmds
-            .iter()
-            .filter_map(|cmd| match &cmd.op {
-                KvCommand::Range { start, end, limit } => Some((
-                    start.clone(),
-                    end.clone(),
-                    *limit,
-                    self.log.machine().kv().scan(start, end, *limit),
-                )),
-                _ => None,
-            })
-            .collect();
-        let mut decisions: Vec<(String, String)> = Vec::new();
-        {
-            let engine = self.engine.as_mut().expect("checked above");
-            for (cmd, (_, _, out)) in cmds.iter().zip(replies) {
-                match &cmd.op {
-                    KvCommand::Put { key, value } => {
-                        engine.put(key, value);
-                        if is_txn_decision(key, value) {
-                            decisions.push((key.clone(), value.clone()));
-                        }
-                    }
-                    KvCommand::Delete { key } => engine.delete(key),
-                    KvCommand::Cas { key, new, .. } => {
-                        if matches!(out, KvResponse::CasResult { swapped: true }) {
-                            engine.put(key, new);
-                            if is_txn_decision(key, new) {
-                                decisions.push((key.clone(), new.clone()));
-                            }
-                        }
-                    }
-                    KvCommand::Get { .. } | KvCommand::Range { .. } => {}
-                }
-            }
-            // Serve every range from the on-disk primary index too: charges
-            // the honest B+ tree scan I/O and cross-checks the index
-            // against the machine's sorted map.
-            for (start, end, limit, want) in range_checks {
-                let mut got = engine.scan(&start, &end);
-                got.truncate(limit);
-                assert_eq!(got, want, "engine index diverged from machine on range scan");
-            }
-        }
-        let resolved = !decisions.is_empty();
-        for (key, value) in decisions {
-            self.txn_decisions.insert(key.clone(), value.clone());
-            self.txn_decisions_logged += 1;
-            self.wal_log(crate::durable::WalRecord::TxnDecision { key, value });
-        }
-        resolved
-    }
-
-    /// Durable mode: the transaction decision records this replica has
-    /// applied (decision key → `commit`/`abort`), survives crash recovery.
-    pub fn txn_decisions(&self) -> &BTreeMap<String, String> {
-        &self.txn_decisions
-    }
-
-    /// Rebuilds the engine's primary index from the full machine state —
-    /// used after installing a snapshot (local recovery or state transfer),
-    /// when the on-disk index can't be trusted / doesn't exist yet. This
-    /// pays the honest rebuild I/O that recovery-time experiments measure.
-    fn mirror_full_state(&mut self) {
-        if self.engine.is_none() {
-            return;
-        }
-        let entries: Vec<(String, String)> = self
-            .log
-            .machine()
-            .kv
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let engine = self.engine.as_mut().expect("checked above");
-        for (k, v) in &entries {
-            engine.put(k, v);
-        }
-        // Decision records captured by the checkpoint re-seed the decision
-        // table; WAL replay then adds anything resolved after it.
-        for (k, v) in &entries {
-            if is_txn_decision(k, v) {
-                self.txn_decisions.insert(k.clone(), v.clone());
-            }
-        }
     }
 
     /// Takes a checkpoint once enough new entries applied since the last
@@ -859,35 +686,26 @@ impl Replica {
     /// accepted entries at or above the applied frontier, and decided-but-
     /// unapplied slots. After this, recovery = snapshot load + WAL replay.
     fn persist_checkpoint(&mut self) {
-        use crate::durable::{encode_record, encode_snapshot, WalRecord};
-        if self.engine.is_none() {
+        if !self.durable.is_enabled() {
             return;
         }
         let applied = self.log.applied_len();
         let blob = encode_snapshot(self.log.machine(), applied);
-        let engine = self.engine.as_mut().expect("checked above");
-        engine.write_snapshot(&blob);
+        let mut live = Vec::new();
         if self.promised != Ballot::ZERO {
-            engine.log_record(&encode_record(&WalRecord::Promise {
+            live.push(WalRecord::Promise {
                 ballot: self.promised,
-            }));
+            });
         }
-        for (&index, (ballot, op)) in self.accepted.range(applied..) {
-            engine.log_record(&encode_record(&WalRecord::Accept {
-                index,
-                ballot: *ballot,
-                op: op.clone(),
-            }));
+        for (&index, &(ballot, ref op)) in self.accepted.range(applied..) {
+            live.push(WalRecord::Accept { index, ballot, op: op.clone() });
         }
         for index in applied..self.log.len() {
             if let Slot::Decided(op) = self.log.slot(index) {
-                engine.log_record(&encode_record(&WalRecord::Decide {
-                    index,
-                    op: op.clone(),
-                }));
+                live.push(WalRecord::Decide { index, op: op.clone() });
             }
         }
-        engine.sync();
+        self.durable.checkpoint(&blob, live.iter().map(encode_record));
     }
 
     /// Crash recovery: reformat the engine's volatile layers, load the last
@@ -896,30 +714,20 @@ impl Replica {
     /// is rebuilt here from actual on-disk bytes — and the disk charges for
     /// every read, which is what recovery-time experiments measure.
     fn recover_from_engine(&mut self, ctx: &mut Context<MpMsg>) {
-        use crate::durable::{decode_record, decode_snapshot, WalRecord};
-        let (recovery, io_before) = {
-            let engine = self.engine.as_mut().expect("durable mode");
-            let io_before = engine.stats().io_time_us;
-            engine.crash();
-            (engine.recover(), io_before)
-        };
+        let recovery = self.durable.crash_and_recover();
         self.promised = Ballot::ZERO;
         self.accepted.clear();
         self.log = ReplicatedLog::new();
         self.snapshot_floor = 0;
-        self.txn_decisions.clear();
         if let Some(blob) = recovery.snapshot {
             let (machine, applied) =
                 decode_snapshot(&blob).expect("checkpoint blob decodes");
             self.log.install(machine, applied);
             self.snapshot_floor = applied;
-            self.mirror_full_state();
+            self.durable.rebuild(self.log.machine().kv());
         }
-        let mut replayed = 0u64;
         for raw in &recovery.records {
-            let rec = decode_record(raw).expect("CRC-valid WAL record decodes");
-            replayed += 1;
-            match rec {
+            match decode_record(raw).expect("CRC-valid WAL record decodes") {
                 WalRecord::Promise { ballot } => {
                     if ballot > self.promised {
                         self.promised = ballot;
@@ -937,19 +745,11 @@ impl Replica {
                     self.on_decided(ctx, index, op);
                 }
                 WalRecord::TxnDecision { key, value } => {
-                    self.txn_decisions.insert(key, value);
+                    self.durable.restore_decision(key, value);
                 }
             }
         }
-        self.recovered_floor = self.snapshot_floor;
-        self.last_recovery_replayed = replayed;
-        self.last_recovery_io_us = self
-            .engine
-            .as_ref()
-            .expect("durable mode")
-            .stats()
-            .io_time_us
-            - io_before;
+        self.durable.finish_recovery(self.snapshot_floor);
     }
 
     fn leader_hint(&self) -> NodeId {
@@ -1048,10 +848,10 @@ impl Node for Replica {
                         self.step_down();
                     }
                     if ballot > self.promised {
-                        self.wal_log(crate::durable::WalRecord::Promise { ballot });
+                        self.wal_log(WalRecord::Promise { ballot });
                     }
                     self.promised = ballot;
-                    self.wal_sync(ctx); // promise durable before the ack leaves
+                    self.durable.sync(ctx); // promise durable before the ack leaves
                     self.arm_election_timer(ctx);
                     let entries: Vec<(usize, Ballot, MpOp)> = self
                         .accepted
@@ -1125,15 +925,15 @@ impl Node for Replica {
                         self.step_down();
                     }
                     if ballot > self.promised {
-                        self.wal_log(crate::durable::WalRecord::Promise { ballot });
+                        self.wal_log(WalRecord::Promise { ballot });
                     }
                     self.promised = ballot;
-                    self.wal_log(crate::durable::WalRecord::Accept {
+                    self.wal_log(WalRecord::Accept {
                         index,
                         ballot,
                         op: op.clone(),
                     });
-                    self.wal_sync(ctx); // accept durable before the ack leaves
+                    self.durable.sync(ctx); // accept durable before the ack leaves
                     self.accepted.insert(index, (ballot, op));
                     self.arm_election_timer(ctx);
                     if self.lease_us > 0 {
@@ -1172,11 +972,11 @@ impl Node for Replica {
                             ctx.phase(SPAN, index as u64, ballot.num, CncPhase::Decision);
                             ctx.span_close(SPAN, index as u64, ballot.num);
                             if matches!(self.log.slot(index), Slot::Empty) {
-                                self.wal_log(crate::durable::WalRecord::Decide {
+                                self.wal_log(WalRecord::Decide {
                                     index,
                                     op: op.clone(),
                                 });
-                                self.wal_sync(ctx);
+                                self.durable.sync(ctx);
                             }
                             let me = ctx.id();
                             ctx.send_many(
@@ -1199,11 +999,11 @@ impl Node for Replica {
                 ctx.phase(SPAN, index as u64, self.promised.num, CncPhase::Decision);
                 ctx.span_close(SPAN, index as u64, self.promised.num);
                 if matches!(self.log.slot(index), Slot::Empty) {
-                    self.wal_log(crate::durable::WalRecord::Decide {
+                    self.wal_log(WalRecord::Decide {
                         index,
                         op: op.clone(),
                     });
-                    self.wal_sync(ctx); // decision durable before it applies
+                    self.durable.sync(ctx); // decision durable before it applies
                 }
                 self.on_decided(ctx, index, op.clone());
                 // Decisions are also (implicitly) accepted state.
@@ -1280,7 +1080,7 @@ impl Node for Replica {
                 self.accepted = self.accepted.split_off(&floor);
                 self.snapshot_floor = floor;
                 self.snapshots_installed += 1;
-                self.mirror_full_state();
+                self.durable.rebuild(self.log.machine().kv());
                 self.persist_checkpoint();
                 for (index, op) in tail {
                     self.on_decided(ctx, index, op);
@@ -1384,7 +1184,7 @@ impl Node for Replica {
             self.lease_holder = None;
             self.lease_until = Time(ctx.local_now().0 + self.lease_us);
         }
-        if self.engine.is_some() {
+        if self.durable.is_enabled() {
             // Durable mode: promised/accepted/log exist only as WAL records
             // and checkpoints. Rebuild them the honest way.
             self.recover_from_engine(ctx);
@@ -1533,7 +1333,7 @@ impl MultiPaxosCluster {
         for i in 0..self.n_replicas {
             if let Proc::Replica(r) = self.sim.node_mut(NodeId::from(i)) {
                 r.snapshot_threshold = threshold.max(1);
-                r.engine = Some(Box::new(storage::DurableEngine::new(model)));
+                r.durable.attach(Box::new(storage::DurableEngine::new(model)));
             }
         }
         self
@@ -2024,13 +1824,13 @@ mod tests {
             panic!("node 2 is a replica")
         };
         assert!(
-            r.recovered_floor > 0,
+            r.durable.recovered_floor > 0,
             "recovery replayed from slot 0 instead of the snapshot"
         );
         assert_eq!(r.log.machine().digest(), digest_before, "state must survive");
         let stats = r.storage_stats().expect("durable engine");
         assert_eq!(stats.recoveries, 1);
-        assert!(r.last_recovery_io_us > 0, "recovery must charge disk time");
+        assert!(r.durable.last_recovery_io_us > 0, "recovery must charge disk time");
         cluster.check_log_consistency();
     }
 

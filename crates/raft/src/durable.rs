@@ -1,6 +1,9 @@
 //! On-disk formats for durable Raft: WAL records and machine snapshots,
 //! hand-encoded via [`storage::codec`] — the same discipline as
 //! `paxos::durable`, with Raft's own persistent state in the records.
+//! Commands, log ops and the machine body use the codec shared with
+//! Multi-Paxos, [`consensus_core::durable`]; this module adds only the Raft
+//! records and the snapshot header.
 //!
 //! ## WAL records
 //!
@@ -28,12 +31,14 @@
 //!
 //! ## Snapshot blob
 //!
-//! `last_included_index`, `last_included_term`, then the
-//! [`DedupKvMachine`]: KV applied-counter, KV entries, client table.
+//! `last_included_index` (`u64`), `last_included_term` (`u64`), then the
+//! shared machine body ([`consensus_core::durable::put_machine`]): KV
+//! applied-counter, KV entries, client table.
 //! Restoring must reproduce the machine digest bit-for-bit — the nemesis
 //! fingerprint oracle depends on it.
 
-use consensus_core::{Command, DedupKvMachine, KvCommand, KvResponse, KvStore, SmrOp};
+use consensus_core::durable::{get_machine, get_op, put_machine, put_op};
+use consensus_core::DedupKvMachine;
 use simnet::NodeId;
 use storage::codec::{put_str, put_u32, put_u64, Reader};
 
@@ -79,139 +84,6 @@ pub enum WalRecord {
     },
 }
 
-fn put_kv_command(buf: &mut Vec<u8>, op: &KvCommand) {
-    match op {
-        KvCommand::Put { key, value } => {
-            put_u32(buf, 0);
-            put_str(buf, key);
-            put_str(buf, value);
-        }
-        KvCommand::Get { key } => {
-            put_u32(buf, 1);
-            put_str(buf, key);
-        }
-        KvCommand::Delete { key } => {
-            put_u32(buf, 2);
-            put_str(buf, key);
-        }
-        KvCommand::Cas { key, expect, new } => {
-            put_u32(buf, 3);
-            put_str(buf, key);
-            put_str(buf, expect);
-            put_str(buf, new);
-        }
-        KvCommand::Range { start, end, limit } => {
-            put_u32(buf, 4);
-            put_str(buf, start);
-            put_str(buf, end);
-            put_u64(buf, *limit as u64);
-        }
-    }
-}
-
-fn get_kv_command(r: &mut Reader) -> Option<KvCommand> {
-    Some(match r.get_u32()? {
-        0 => KvCommand::Put {
-            key: r.get_str()?,
-            value: r.get_str()?,
-        },
-        1 => KvCommand::Get { key: r.get_str()? },
-        2 => KvCommand::Delete { key: r.get_str()? },
-        3 => KvCommand::Cas {
-            key: r.get_str()?,
-            expect: r.get_str()?,
-            new: r.get_str()?,
-        },
-        4 => KvCommand::Range {
-            start: r.get_str()?,
-            end: r.get_str()?,
-            limit: r.get_u64()? as usize,
-        },
-        _ => return None,
-    })
-}
-
-fn put_op(buf: &mut Vec<u8>, op: &SmrOp) {
-    match op {
-        SmrOp::Noop => put_u32(buf, 0),
-        SmrOp::Cmd(cmd) => {
-            put_u32(buf, 1);
-            put_u32(buf, cmd.client);
-            put_u64(buf, cmd.seq);
-            put_kv_command(buf, &cmd.op);
-        }
-    }
-}
-
-fn get_op(r: &mut Reader) -> Option<SmrOp> {
-    Some(match r.get_u32()? {
-        0 => SmrOp::Noop,
-        1 => SmrOp::Cmd(Command {
-            client: r.get_u32()?,
-            seq: r.get_u64()?,
-            op: get_kv_command(r)?,
-        }),
-        _ => return None,
-    })
-}
-
-fn put_entry(buf: &mut Vec<u8>, entry: &Entry) {
-    put_u64(buf, entry.term);
-    put_op(buf, &entry.op);
-}
-
-fn get_entry(r: &mut Reader) -> Option<Entry> {
-    Some(Entry {
-        term: r.get_u64()?,
-        op: get_op(r)?,
-    })
-}
-
-fn put_response(buf: &mut Vec<u8>, out: &KvResponse) {
-    match out {
-        KvResponse::Ok => put_u32(buf, 0),
-        KvResponse::Value(None) => put_u32(buf, 1),
-        KvResponse::Value(Some(v)) => {
-            put_u32(buf, 2);
-            put_str(buf, v);
-        }
-        KvResponse::CasResult { swapped } => {
-            put_u32(buf, 3);
-            put_u32(buf, u32::from(*swapped));
-        }
-        KvResponse::Entries(entries) => {
-            put_u32(buf, 4);
-            put_u32(buf, entries.len() as u32);
-            for (k, v) in entries {
-                put_str(buf, k);
-                put_str(buf, v);
-            }
-        }
-    }
-}
-
-fn get_response(r: &mut Reader) -> Option<KvResponse> {
-    Some(match r.get_u32()? {
-        0 => KvResponse::Ok,
-        1 => KvResponse::Value(None),
-        2 => KvResponse::Value(Some(r.get_str()?)),
-        3 => KvResponse::CasResult {
-            swapped: r.get_u32()? != 0,
-        },
-        4 => {
-            let n = r.get_u32()? as usize;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = r.get_str()?;
-                let v = r.get_str()?;
-                entries.push((k, v));
-            }
-            KvResponse::Entries(entries)
-        }
-        _ => return None,
-    })
-}
-
 /// Encodes a WAL record.
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -224,7 +96,8 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
         WalRecord::Append { index, entry } => {
             put_u32(&mut buf, 2);
             put_u64(&mut buf, *index as u64);
-            put_entry(&mut buf, entry);
+            put_u64(&mut buf, entry.term);
+            put_op(&mut buf, &entry.op);
         }
         WalRecord::Truncate { from } => {
             put_u32(&mut buf, 3);
@@ -257,7 +130,10 @@ pub fn decode_record(bytes: &[u8]) -> Option<WalRecord> {
         },
         2 => WalRecord::Append {
             index: r.get_u64()? as usize,
-            entry: get_entry(&mut r)?,
+            entry: Entry {
+                term: r.get_u64()?,
+                op: get_op(&mut r)?,
+            },
         },
         3 => WalRecord::Truncate {
             from: r.get_u64()? as usize,
@@ -284,18 +160,7 @@ pub fn encode_snapshot(
     let mut buf = Vec::new();
     put_u64(&mut buf, last_included_index as u64);
     put_u64(&mut buf, last_included_term);
-    put_u64(&mut buf, machine.kv().applied());
-    put_u32(&mut buf, machine.kv().len() as u32);
-    for (k, v) in machine.kv().iter() {
-        put_str(&mut buf, k);
-        put_str(&mut buf, v);
-    }
-    put_u32(&mut buf, machine.client_table().len() as u32);
-    for (client, (seq, out)) in machine.client_table() {
-        put_u32(&mut buf, *client);
-        put_u64(&mut buf, *seq);
-        put_response(&mut buf, out);
-    }
+    put_machine(&mut buf, machine);
     buf
 }
 
@@ -306,30 +171,14 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<(DedupKvMachine, usize, u64)> {
     let mut r = Reader::new(bytes);
     let last_included_index = r.get_u64()? as usize;
     let last_included_term = r.get_u64()?;
-    let kv_applied = r.get_u64()?;
-    let n_kv = r.get_u32()? as usize;
-    let mut entries = Vec::with_capacity(n_kv);
-    for _ in 0..n_kv {
-        let k = r.get_str()?;
-        let v = r.get_str()?;
-        entries.push((k, v));
-    }
-    let n_clients = r.get_u32()? as usize;
-    let mut client_table = std::collections::BTreeMap::new();
-    for _ in 0..n_clients {
-        let client = r.get_u32()?;
-        let seq = r.get_u64()?;
-        let out = get_response(&mut r)?;
-        client_table.insert(client, (seq, out));
-    }
-    let machine = DedupKvMachine::restore(KvStore::restore(entries, kv_applied), client_table);
+    let machine = get_machine(&mut r)?;
     (r.remaining() == 0).then_some((machine, last_included_index, last_included_term))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use consensus_core::StateMachine;
+    use consensus_core::{Command, KvCommand, SmrOp, StateMachine};
 
     fn cmd(client: u32, seq: u64, op: KvCommand) -> SmrOp {
         SmrOp::Cmd(Command { client, seq, op })
@@ -407,44 +256,26 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_digest_exactly() {
+        // The machine body's own round-trip and truncation tests live with
+        // the shared codec; this one covers the index/term header.
         let mut m = DedupKvMachine::default();
-        for i in 0..20u32 {
-            m.apply(&cmd(
-                i % 3,
-                u64::from(i),
-                KvCommand::Put {
-                    key: format!("k{i}"),
-                    value: format!("v{i}"),
-                },
-            ));
-        }
-        m.apply(&cmd(0, 50, KvCommand::Get { key: "k1".into() }));
         m.apply(&cmd(
             1,
-            51,
-            KvCommand::Cas {
-                key: "k2".into(),
-                expect: "nope".into(),
-                new: "x".into(),
-            },
-        ));
-        m.apply(&cmd(
-            2,
-            52,
-            KvCommand::Range {
-                start: "k0".into(),
-                end: "k3".into(),
-                limit: 8,
+            1,
+            KvCommand::Put {
+                key: "k".into(),
+                value: "v".into(),
             },
         ));
         let blob = encode_snapshot(&m, 23, 5);
         let (restored, idx, term) = decode_snapshot(&blob).expect("decodes");
         assert_eq!((idx, term), (23, 5));
         assert_eq!(restored.digest(), m.digest(), "digest must survive");
-        assert_eq!(restored.kv().applied(), m.kv().applied());
-        // Truncated blobs never half-decode.
-        for cut in 0..blob.len() {
+        for cut in 0..16 {
             assert!(decode_snapshot(&blob[..cut]).is_none(), "cut {cut}");
         }
+        let mut trailing = blob;
+        trailing.push(0);
+        assert!(decode_snapshot(&trailing).is_none(), "trailing bytes are corruption");
     }
 }

@@ -4,13 +4,12 @@
 
 use std::collections::BTreeMap;
 
-use consensus_core::{
-    BatchConfig, DedupKvMachine, KvCommand, KvResponse, ReadMode, SmrOp, StateMachine,
-};
+use consensus_core::durable::DurablePlane;
+use consensus_core::{BatchConfig, CmdOp, DedupKvMachine, ReadMode, SmrOp, StateMachine};
 use simnet::causal::cat;
 use simnet::{CncPhase, Context, Node, NodeId, Time, TraceCtx, Timer, TimerId};
 
-use crate::durable::WalRecord;
+use crate::durable::{decode_record, decode_snapshot, encode_record, encode_snapshot, WalRecord};
 use crate::msg::{Entry, RaftMsg};
 
 /// Span protocol label; instances are log indices, rounds are terms.
@@ -56,14 +55,6 @@ struct PendingRead {
     /// Leader-confirmed commit index the read must wait for (`None` while
     /// the read-index round-trip is still in flight).
     ready_at: Option<usize>,
-}
-
-/// Whether an applied write resolves a 2PC/commit decision record: a
-/// decision key whose new value is a final `commit`/`abort` (the `pending`
-/// init is not a resolution).
-fn is_txn_decision(key: &str, value: &str) -> bool {
-    consensus_core::txn::parse_decision_key(key).is_some()
-        && consensus_core::txn::TxnDecision::parse(value).is_some()
 }
 
 /// A Raft server.
@@ -128,26 +119,12 @@ pub struct Replica {
     pub snapshots_installed: u64,
 
     // --- durability ---
-    /// Durable storage, when enabled: term/vote/log changes go to its WAL
-    /// *before* the message they justify leaves, checkpoints absorb the
-    /// applied prefix, and applied KV state is mirrored into its primary
-    /// index. `None` keeps the historical everything-in-RAM behaviour.
-    pub(crate) engine: Option<Box<dyn storage::StorageEngine>>,
-    /// Whether WAL records were appended since the last sync.
-    wal_dirty: bool,
-    /// Floor restored by the most recent crash recovery (0 = none / cold).
-    pub recovered_floor: usize,
-    /// Entries replayed from the WAL by the most recent recovery.
-    pub last_recovery_replayed: u64,
-    /// Disk time the most recent recovery charged (µs).
-    pub last_recovery_io_us: u64,
-    /// Durable mode: transaction decision records (`~dec.<tid>` → value)
-    /// this replica applied, persisted as first-class `TxnDecision` WAL
-    /// records *before* the releasing reply leaves and rebuilt on recovery
-    /// (from snapshot + WAL) without replaying the command history.
-    txn_decisions: BTreeMap<String, String>,
-    /// `TxnDecision` records appended over this replica's lifetime.
-    pub txn_decisions_logged: u64,
+    /// Durable storage, when an engine is attached: term/vote/log changes
+    /// go to its WAL *before* the message they justify leaves, checkpoints
+    /// absorb the applied prefix, and applied KV state is mirrored into its
+    /// primary index. Also holds the recovery counters and the
+    /// transaction-decision table.
+    pub durable: DurablePlane,
 
     // --- read-index fast reads (geo read path) ---
     /// Reads parked here until confirmed + applied, keyed by
@@ -203,13 +180,7 @@ impl Replica {
             snapshot_threshold: SNAPSHOT_THRESHOLD,
             snapshots_taken: 0,
             snapshots_installed: 0,
-            engine: None,
-            wal_dirty: false,
-            recovered_floor: 0,
-            last_recovery_replayed: 0,
-            last_recovery_io_us: 0,
-            txn_decisions: BTreeMap::new(),
-            txn_decisions_logged: 0,
+            durable: DurablePlane::default(),
             pending_reads: BTreeMap::new(),
             last_contact: BTreeMap::new(),
             term_start_index: 0,
@@ -225,31 +196,14 @@ impl Replica {
         self
     }
 
-    /// Attaches a durable storage engine: the WAL-before-message
-    /// discipline, checkpointing and crash recovery all activate.
-    #[must_use]
-    pub fn with_engine(mut self, engine: Box<dyn storage::StorageEngine>) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
     /// Storage counters, when a durable engine is attached.
     pub fn storage_stats(&self) -> Option<storage::StorageStats> {
-        self.engine.as_ref().map(|e| e.stats())
-    }
-
-    /// Durable mode: the transaction decision records this replica has
-    /// applied (decision key → `commit`/`abort`), survives crash recovery.
-    pub fn txn_decisions(&self) -> &BTreeMap<String, String> {
-        &self.txn_decisions
+        self.durable.stats()
     }
 
     /// Appends a protocol record to the engine's WAL (no-op without one).
     fn wal_log(&mut self, rec: WalRecord) {
-        if let Some(e) = self.engine.as_mut() {
-            e.log_record(&crate::durable::encode_record(&rec));
-            self.wal_dirty = true;
-        }
+        self.durable.log(|| encode_record(&rec));
     }
 
     /// Persists the Figure-2 hard state (`current_term`, `voted_for`) —
@@ -260,128 +214,30 @@ impl Replica {
         self.wal_log(WalRecord::HardState { term, voted_for });
     }
 
-    /// Group-commits everything this handler logged (no-op when nothing
-    /// is outstanding) and charges the modeled device time to the current
-    /// causal trace.
-    fn wal_sync(&mut self, ctx: &mut Context<RaftMsg>) {
-        if !self.wal_dirty {
-            return;
+    /// Applies a committed entry's `op` and mirrors it into the durable
+    /// index unless the dedup table absorbed it: a duplicate `(client,
+    /// seq)` at a second log index does not mutate the machine, so
+    /// re-mirroring its payload would clobber newer state. Returns the
+    /// machine's output and whether the entry resolved a transaction
+    /// decision, whose `TxnDecision` record the caller must sync before
+    /// the releasing reply leaves.
+    fn apply_and_mirror(&mut self, op: &SmrOp) -> (Option<consensus_core::KvResponse>, bool) {
+        let fresh = match op {
+            SmrOp::Cmd(cmd) => self.machine.cached(cmd.client, cmd.seq).is_none(),
+            SmrOp::Noop => false,
+        };
+        let out = self.machine.apply(op);
+        if !fresh {
+            return (out, false);
         }
-        self.wal_dirty = false;
-        if let Some(e) = self.engine.as_mut() {
-            let before = e.stats().io_time_us;
-            e.sync();
-            let spent = e.stats().io_time_us - before;
-            if spent > 0 {
-                ctx.charge_io("wal-sync", spent);
-            }
-        }
-    }
-
-    /// Mirrors one freshly applied entry's effects into the durable
-    /// engine's primary index. `out` is the machine's actual output, so a
-    /// failed CAS mirrors nothing. Callers must skip entries the dedup
-    /// table absorbed (a duplicate `(client, seq)` at a second log index
-    /// does not mutate the machine, so re-mirroring its payload would
-    /// clobber newer state).
-    ///
-    /// Returns `true` when the entry resolved a transaction decision
-    /// record: the outcome was additionally appended to the WAL as a
-    /// first-class [`WalRecord::TxnDecision`], and the caller must sync
-    /// before the releasing reply leaves.
-    fn mirror_applied(&mut self, op: &SmrOp, out: Option<&KvResponse>) -> bool {
-        if self.engine.is_none() {
-            return false;
-        }
-        let SmrOp::Cmd(cmd) = op else { return false };
-        let mut decision: Option<(String, String)> = None;
-        {
-            // Authoritative range answer from the machine, computed before
-            // the engine borrow.
-            let range_check = match &cmd.op {
-                KvCommand::Range { start, end, limit } => Some((
-                    start.clone(),
-                    end.clone(),
-                    *limit,
-                    self.machine.kv().scan(start, end, *limit),
-                )),
-                _ => None,
-            };
-            let engine = self.engine.as_mut().expect("checked above");
-            match &cmd.op {
-                KvCommand::Put { key, value } => {
-                    engine.put(key, value);
-                    if is_txn_decision(key, value) {
-                        decision = Some((key.clone(), value.clone()));
-                    }
-                }
-                KvCommand::Delete { key } => engine.delete(key),
-                KvCommand::Cas { key, new, .. } => {
-                    if matches!(out, Some(KvResponse::CasResult { swapped: true })) {
-                        engine.put(key, new);
-                        if is_txn_decision(key, new) {
-                            decision = Some((key.clone(), new.clone()));
-                        }
-                    }
-                }
-                KvCommand::Get { .. } | KvCommand::Range { .. } => {}
-            }
-            // Serve every range from the on-disk primary index too: charges
-            // the honest B+ tree scan I/O and cross-checks the index
-            // against the machine's sorted map.
-            if let Some((start, end, limit, want)) = range_check {
-                let mut got = engine.scan(&start, &end);
-                got.truncate(limit);
-                assert_eq!(got, want, "engine index diverged from machine on range scan");
-            }
-        }
-        let resolved = decision.is_some();
-        if let Some((key, value)) = decision {
-            self.txn_decisions.insert(key.clone(), value.clone());
-            self.txn_decisions_logged += 1;
+        let decisions = self
+            .durable
+            .mirror(self.machine.kv(), op.commands().iter().zip(&out));
+        let resolved = !decisions.is_empty();
+        for (key, value) in decisions {
             self.wal_log(WalRecord::TxnDecision { key, value });
         }
-        resolved
-    }
-
-    /// Rebuilds the engine's primary index from the full machine state —
-    /// used after installing a snapshot (local recovery or leader state
-    /// transfer). Keys the incoming state no longer has are dropped first
-    /// (a leader snapshot may land on a live index), then everything is
-    /// upserted; this pays the honest rebuild I/O that recovery-time
-    /// experiments measure.
-    fn mirror_full_state(&mut self) {
-        if self.engine.is_none() {
-            return;
-        }
-        let entries: Vec<(String, String)> = self
-            .machine
-            .kv()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let live: std::collections::BTreeSet<&str> =
-            entries.iter().map(|(k, _)| k.as_str()).collect();
-        let engine = self.engine.as_mut().expect("checked above");
-        let stale: Vec<String> = engine
-            .scan("", "\u{10FFFF}")
-            .into_iter()
-            .map(|(k, _)| k)
-            .filter(|k| !live.contains(k.as_str()))
-            .collect();
-        for k in &stale {
-            engine.delete(k);
-        }
-        for (k, v) in &entries {
-            engine.put(k, v);
-        }
-        // Decision records captured by the checkpoint re-seed the decision
-        // table; WAL replay then adds anything resolved after it.
-        for (k, v) in &entries {
-            if is_txn_decision(k, v) {
-                self.txn_decisions.insert(k.clone(), v.clone());
-            }
-        }
+        (out, resolved)
     }
 
     /// Writes the machine state through the engine as a snapshot (which
@@ -389,31 +245,24 @@ impl Replica {
     /// state, the retained log suffix, and the commit index. After this,
     /// recovery = snapshot load + WAL replay.
     fn persist_checkpoint(&mut self) {
-        use crate::durable::{encode_record, encode_snapshot};
-        if self.engine.is_none() {
+        if !self.durable.is_enabled() {
             return;
         }
         let blob = encode_snapshot(&self.machine, self.log_offset, self.log[0].term);
-        let hard_state = encode_record(&WalRecord::HardState {
+        let mut live = vec![WalRecord::HardState {
             term: self.current_term,
             voted_for: self.voted_for,
-        });
-        let engine = self.engine.as_mut().expect("checked above");
-        engine.write_snapshot(&blob);
-        engine.log_record(&hard_state);
+        }];
         for (rel, entry) in self.log.iter().enumerate().skip(1) {
-            engine.log_record(&encode_record(&WalRecord::Append {
-                index: self.log_offset + rel,
-                entry: entry.clone(),
-            }));
+            let (index, entry) = (self.log_offset + rel, entry.clone());
+            live.push(WalRecord::Append { index, entry });
         }
         if self.commit_index > self.log_offset {
-            engine.log_record(&encode_record(&WalRecord::Commit {
+            live.push(WalRecord::Commit {
                 index: self.commit_index,
-            }));
+            });
         }
-        engine.sync();
-        self.wal_dirty = false;
+        self.durable.checkpoint(&blob, live.iter().map(encode_record));
     }
 
     /// Crash recovery: reformat the engine's volatile layers, load the
@@ -423,14 +272,7 @@ impl Replica {
     /// disk charges for every read, which is what recovery-time
     /// experiments measure.
     fn recover_from_engine(&mut self) {
-        use crate::durable::{decode_record, decode_snapshot};
-        let (recovery, io_before) = {
-            let engine = self.engine.as_mut().expect("durable mode");
-            let io_before = engine.stats().io_time_us;
-            engine.crash();
-            (engine.recover(), io_before)
-        };
-        self.wal_dirty = false;
+        let recovery = self.durable.crash_and_recover();
         self.current_term = 0;
         self.voted_for = None;
         self.log = vec![Entry {
@@ -442,7 +284,6 @@ impl Replica {
         self.commit_index = 0;
         self.last_applied = 0;
         self.leader_hint = None;
-        self.txn_decisions.clear();
         if let Some(blob) = recovery.snapshot {
             let (machine, idx, term) =
                 decode_snapshot(&blob).expect("checkpoint blob decodes");
@@ -454,14 +295,11 @@ impl Replica {
             self.machine = machine;
             self.commit_index = idx;
             self.last_applied = idx;
-            self.mirror_full_state();
+            self.durable.rebuild(self.machine.kv());
         }
-        let mut replayed = 0u64;
         let mut commit = self.commit_index;
         for raw in &recovery.records {
-            let rec = decode_record(raw).expect("CRC-valid WAL record decodes");
-            replayed += 1;
-            match rec {
+            match decode_record(raw).expect("CRC-valid WAL record decodes") {
                 WalRecord::HardState { term, voted_for } => {
                     if term >= self.current_term {
                         self.current_term = term;
@@ -485,7 +323,7 @@ impl Replica {
                 }
                 WalRecord::Commit { index } => commit = commit.max(index),
                 WalRecord::TxnDecision { key, value } => {
-                    self.txn_decisions.insert(key, value);
+                    self.durable.restore_decision(key, value);
                 }
             }
         }
@@ -500,24 +338,9 @@ impl Replica {
                 continue;
             }
             let op = self.entry(i).expect("committed and retained").op.clone();
-            let fresh = match &op {
-                SmrOp::Cmd(cmd) => self.machine.cached(cmd.client, cmd.seq).is_none(),
-                SmrOp::Noop => false,
-            };
-            let out = self.machine.apply(&op);
-            if fresh {
-                self.mirror_applied(&op, out.as_ref());
-            }
+            self.apply_and_mirror(&op);
         }
-        self.recovered_floor = self.log_offset;
-        self.last_recovery_replayed = replayed;
-        self.last_recovery_io_us = self
-            .engine
-            .as_ref()
-            .expect("durable mode")
-            .stats()
-            .io_time_us
-            - io_before;
+        self.durable.finish_recovery(self.log_offset);
     }
 
     /// Absolute index of the last log entry.
@@ -648,7 +471,7 @@ impl Replica {
         self.voted_for = Some(ctx.id());
         self.votes = 1; // own vote
         self.log_hard_state();
-        self.wal_sync(ctx); // term + self-vote durable before soliciting
+        self.durable.sync(ctx); // term + self-vote durable before soliciting
         self.reset_election_timer(ctx);
         ctx.phase(
             SPAN,
@@ -698,7 +521,7 @@ impl Replica {
             index: self.last_log_index(),
             entry: self.log.last().expect("just pushed").clone(),
         });
-        self.wal_sync(ctx); // the no-op is durable before it replicates
+        self.durable.sync(ctx); // the no-op is durable before it replicates
         self.match_index[ctx.id().index()] = self.last_log_index();
         // Reads are confirmable only after this no-op commits; contact
         // history from older terms never carries over.
@@ -800,19 +623,12 @@ impl Replica {
             self.pending_trace.remove(&i);
             ctx.phase(SPAN, i as u64, self.current_term, CncPhase::Decision);
             ctx.span_close(SPAN, i as u64, self.current_term);
-            // A duplicate `(client, seq)` at a second index is absorbed by
-            // the dedup table without mutating the machine — don't mirror
-            // its payload over newer state.
-            let fresh = match &op {
-                SmrOp::Cmd(cmd) => self.machine.cached(cmd.client, cmd.seq).is_none(),
-                SmrOp::Noop => false,
-            };
-            let out = self.machine.apply(&op);
-            if fresh && self.mirror_applied(&op, out.as_ref()) {
+            let (out, resolved) = self.apply_and_mirror(&op);
+            if resolved {
                 // WAL-before-decision: the entry resolved a transaction
                 // decision record — its dedicated WAL entry must be on
                 // disk before the reply that releases the transaction.
-                self.wal_sync(ctx);
+                self.durable.sync(ctx);
             }
             if self.role == Role::Leader {
                 if let (Some(client_node), Some(output), SmrOp::Cmd(cmd)) =
@@ -988,7 +804,7 @@ impl Node for Replica {
                     index,
                     entry: self.log.last().expect("just pushed").clone(),
                 });
-                self.wal_sync(ctx); // entry durable before the leader counts it
+                self.durable.sync(ctx); // entry durable before the leader counts it
                 ctx.span_open(SPAN, index as u64, self.current_term);
                 ctx.phase(SPAN, index as u64, self.current_term, CncPhase::Agreement);
                 self.match_index[ctx.id().index()] = index;
@@ -1016,7 +832,7 @@ impl Node for Replica {
                     self.log_hard_state();
                     self.reset_election_timer(ctx);
                 }
-                self.wal_sync(ctx); // term/vote durable before the response
+                self.durable.sync(ctx); // term/vote durable before the response
                 ctx.send(
                     from,
                     RaftMsg::VoteResponse {
@@ -1063,7 +879,7 @@ impl Node for Replica {
                 if prev_log_index < self.log_offset {
                     // We have a snapshot past `prev`: ask the leader to
                     // resume from our offset.
-                    self.wal_sync(ctx); // any term bump durable first
+                    self.durable.sync(ctx); // any term bump durable first
                     ctx.send(
                         from,
                         RaftMsg::AppendResponse {
@@ -1082,7 +898,7 @@ impl Node for Replica {
                         .saturating_sub(1)
                         .min(self.last_log_index())
                         .max(self.log_offset);
-                    self.wal_sync(ctx); // any term bump durable first
+                    self.durable.sync(ctx); // any term bump durable first
                     ctx.send(
                         from,
                         RaftMsg::AppendResponse {
@@ -1121,7 +937,7 @@ impl Node for Replica {
                 }
                 // One group commit covers the term bump, every appended
                 // entry, and the commit advance — WAL-before-ack.
-                self.wal_sync(ctx);
+                self.durable.sync(ctx);
                 ctx.send(
                     from,
                     RaftMsg::AppendResponse {
@@ -1172,7 +988,7 @@ impl Node for Replica {
                 // Durable mode: rebuild the on-disk index from the shipped
                 // state and checkpoint it, so the install survives a crash
                 // that follows the ack.
-                self.mirror_full_state();
+                self.durable.rebuild(self.machine.kv());
                 self.persist_checkpoint();
                 ctx.send(
                     from,
@@ -1310,7 +1126,7 @@ impl Node for Replica {
         self.last_contact.clear();
         self.reset_batching();
         self.election_timer = None;
-        if self.engine.is_some() {
+        if self.durable.is_enabled() {
             // Durable mode: term, vote, log, and machine exist only as WAL
             // records and checkpoints. Rebuild them the honest way.
             self.recover_from_engine();

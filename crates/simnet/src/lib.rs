@@ -72,7 +72,7 @@ pub use config::{DelayModel, DiskModel, NetConfig, NicModel, Synchrony, WanTopol
 pub use fault::{DropAll, Equivocate, Filter, FilterAction, FnFilter};
 pub use metrics::{DropCause, Histogram, Metrics};
 pub use node::{Context, Node, Payload, Timer, TimerId};
-pub use sim::{RunOutcome, Sim, SimView};
+pub use sim::{run_in_chunks, RunOutcome, Sim, SimView};
 pub use time::{NodeId, Time};
 pub use trace::{CncPhase, SpanEvent, SpanKind, TraceEntry, TraceEvent};
 

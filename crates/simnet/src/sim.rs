@@ -807,6 +807,28 @@ impl<N: Node> SimView for Sim<N> {
     }
 }
 
+/// The cluster run loop: advances the simulation `sim(target)` in 10 ms
+/// steps until `done(target)` holds, the simulation goes quiescent, or its
+/// clock passes `horizon`. Returns whether `done` held at the end.
+pub fn run_in_chunks<T: ?Sized>(
+    target: &mut T,
+    horizon: Time,
+    sim: impl Fn(&mut T) -> &mut dyn SimView,
+    done: impl Fn(&T) -> bool,
+) -> bool {
+    loop {
+        let view = sim(target);
+        let outcome = view.run_for(10_000);
+        let now = view.now();
+        if done(target) {
+            return true;
+        }
+        if now >= horizon || outcome == RunOutcome::Quiescent {
+            return done(target);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -127,13 +127,6 @@ pub trait ShardEngine: ClusterDriver {
     where
         Self: Sized;
 
-    /// Whether durable specs actually persist state. Both engines now
-    /// answer `true`; the method remains so tests can assert the invariant
-    /// and future engines must declare themselves.
-    fn supports_durable() -> bool
-    where
-        Self: Sized;
-
     /// Broadcasts `cmd` to every replica, sent from the stub client node.
     /// Safe to call repeatedly with the same command (dedup applies once).
     fn submit(&mut self, cmd: Command<KvCommand>);
@@ -222,10 +215,6 @@ impl ShardEngine for MultiPaxosCluster {
         cluster
     }
 
-    fn supports_durable() -> bool {
-        true
-    }
-
     fn submit(&mut self, cmd: Command<KvCommand>) {
         self.submit_traced(cmd, None);
     }
@@ -305,10 +294,6 @@ impl ShardEngine for RaftCluster {
             cluster.enable_tracing(site);
         }
         cluster
-    }
-
-    fn supports_durable() -> bool {
-        true
     }
 
     fn submit(&mut self, cmd: Command<KvCommand>) {
@@ -417,7 +402,5 @@ mod tests {
         let durable = spec().durable(8, DiskModel::ssd());
         drive(MultiPaxosCluster::build_shard(&durable));
         drive(RaftCluster::build_shard(&durable));
-        assert!(MultiPaxosCluster::supports_durable());
-        assert!(RaftCluster::supports_durable());
     }
 }

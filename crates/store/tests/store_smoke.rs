@@ -231,7 +231,7 @@ fn durable_paxos_store_survives_replica_crash_restart() {
         let r = e.replicas().nth(2).expect("replica 2 exists");
         let stats = r.storage_stats().expect("durable engine attached");
         assert_eq!(stats.recoveries, 1, "replica 2 must have recovered once");
-        assert!(r.last_recovery_io_us > 0, "recovery must charge disk time");
+        assert!(r.durable.last_recovery_io_us > 0, "recovery must charge disk time");
     }
 }
 
@@ -277,7 +277,7 @@ fn durable_coordinator_shard_recovers_in_flight_decision() {
         1
     );
     assert_eq!(
-        r.txn_decisions().get(&dec_key).map(String::as_str),
+        r.durable.txn_decisions().get(&dec_key).map(String::as_str),
         Some("commit"),
         "restarted replica must recover the in-flight decision"
     );
@@ -285,7 +285,7 @@ fn durable_coordinator_shard_recovers_in_flight_decision() {
     // first-class WAL record.
     assert!(s.shards()[coord]
         .replicas()
-        .any(|r| r.txn_decisions_logged > 0));
+        .any(|r| r.durable.txn_decisions_logged > 0));
 }
 
 #[test]
@@ -311,8 +311,6 @@ fn durable_raft_store_survives_replica_crash_restart() {
     // term/vote/log state really is gone from RAM, and recovery must
     // rebuild it from the engine's checkpoint + WAL. Both engines answer
     // for durability now — there is no fallback path left.
-    assert!(RaftCluster::supports_durable());
-    assert!(MultiPaxosCluster::supports_durable());
     let mut s: Store<RaftCluster> =
         Store::new(StoreConfig::new(13).durable(8, simnet::DiskModel::ssd()));
     for shard in 0..s.cfg.n_shards as u32 {
@@ -327,7 +325,7 @@ fn durable_raft_store_survives_replica_crash_restart() {
         let r = e.replicas().nth(2).expect("replica 2 exists");
         let stats = r.storage_stats().expect("durable engine attached");
         assert_eq!(stats.recoveries, 1, "replica 2 must have recovered once");
-        assert!(r.last_recovery_io_us > 0, "recovery must charge disk time");
+        assert!(r.durable.last_recovery_io_us > 0, "recovery must charge disk time");
     }
 }
 
