@@ -16,7 +16,7 @@
 //! * **Issue.** Closed loop issues the next command when the previous one
 //!   completes; open loop issues one every `interval_us` until `total`.
 //!   Each issued command gets a root trace span, goes to the leader guess,
-//!   and arms a retry timer of [`ClientAdapter::RETRY_US`].
+//!   and (re)arms the retry deadline of [`ClientAdapter::RETRY_US`].
 //! * **Reply.** A reply for an outstanding sequence number counts as one
 //!   vote for its output; at [`ClientAdapter::reply_quorum`] matching votes
 //!   from distinct replicas the command completes. Every reply, outstanding
@@ -25,17 +25,20 @@
 //!   the hint, or, when the hint names the replier itself, to the replica
 //!   after the replier. It arms one 2 ms nudge resend unless one is
 //!   already armed. Every redirect clears the strikes.
-//! * **Retry expiry.** With outstanding commands, [`Retry::Guess`] resends
-//!   them all to the guess and rotates the guess on the second consecutive
-//!   expiry; [`Retry::Broadcast`] sends them all to every replica. Either
-//!   way a new retry timer is armed. Timers armed for commands that have
-//!   since completed are not cancelled, so they fire too: the known
-//!   leaked-timer storm under saturation.
+//! * **Retry expiry.** A [`Retry::Guess`] client holds exactly one armed
+//!   retry deadline: every issue or resend cancels the previous timer and
+//!   arms a fresh one, and only the armed timer acts. On expiry with
+//!   outstanding commands it resends them all to the guess and rotates the
+//!   guess on the second consecutive expiry. A [`Retry::Broadcast`] client
+//!   still arms one timer per issue and resend and never cancels one, so
+//!   timers of completed commands fire too; each sends every outstanding
+//!   command to every replica (see [`Retry::Broadcast`] for why this path
+//!   keeps its leak for now).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 
-use simnet::{Context, Node, NodeId, Payload, Time, Timer, TraceCtx};
+use simnet::{Context, Node, NodeId, Payload, Time, Timer, TimerId, TraceCtx};
 
 use crate::history::HistorySink;
 use crate::smr::{Command, KvCommand, KvResponse, ReadMode};
@@ -68,6 +71,13 @@ pub enum Retry {
     /// or redirect in between.
     Guess,
     /// Send every outstanding command to every replica.
+    ///
+    /// Unlike [`Retry::Guess`], this path still arms one timer per issue
+    /// and resend and never cancels them, so the timers of completed
+    /// commands fire too. Giving PBFT a single armed deadline stops the
+    /// seed-5 reproduction of its pinned primary-crash agreement defect, so
+    /// it lands together with the client tracking the primary from
+    /// `Reply.view`, where that defect pin is revisited.
     Broadcast,
 }
 
@@ -125,6 +135,8 @@ pub struct Session {
     /// replicas that returned it (only for reply quorums above one).
     votes: BTreeMap<u64, Vec<(KvResponse, BTreeSet<NodeId>)>>,
     leader_guess: NodeId,
+    /// The one armed retry deadline of a [`Retry::Guess`] client.
+    retry_timer: Option<TimerId>,
     nudge_armed: bool,
     /// Consecutive retry expiries with no reply or redirect.
     retry_strikes: u8,
@@ -141,6 +153,9 @@ pub struct Session {
 }
 
 impl Session {
+    // Cluster set-up builds one session per client; inlined, each is built
+    // in place in its node instead of being copied out of a call.
+    #[inline]
     fn new(
         client_id: u32,
         n_replicas: usize,
@@ -159,6 +174,7 @@ impl Session {
             trace_roots: BTreeMap::new(),
             votes: BTreeMap::new(),
             leader_guess: NodeId(0),
+            retry_timer: None,
             nudge_armed: false,
             retry_strikes: 0,
             latencies: LatencyRecorder::new(),
@@ -186,7 +202,19 @@ impl Session {
             self.trace_roots.insert(cmd.seq, tc);
         }
         ctx.send(self.leader_guess, A::request(cmd));
-        ctx.set_timer(A::RETRY_US, RETRY);
+        self.arm_retry::<A>(ctx);
+    }
+
+    /// Arms a retry timer of [`ClientAdapter::RETRY_US`]. For
+    /// [`Retry::Guess`] it replaces the armed deadline, cancelling the old
+    /// one; [`Retry::Broadcast`] timers are never cancelled.
+    fn arm_retry<A: ClientAdapter>(&mut self, ctx: &mut Context<A::Msg>) {
+        let id = ctx.set_timer(A::RETRY_US, RETRY);
+        if A::RETRY == Retry::Guess {
+            if let Some(old) = self.retry_timer.replace(id) {
+                ctx.cancel_timer(old);
+            }
+        }
     }
 
     /// Sends every outstanding command again, to the guess or to every
@@ -205,7 +233,7 @@ impl Session {
         }
         ctx.set_trace_ctx(None);
         if !self.outstanding.is_empty() {
-            ctx.set_timer(A::RETRY_US, RETRY);
+            self.arm_retry::<A>(ctx);
         }
     }
 
@@ -353,7 +381,19 @@ impl<A: ClientAdapter> Node for Client<A> {
     fn on_timer(&mut self, ctx: &mut Context<A::Msg>, timer: Timer) {
         let s = &mut self.session;
         match timer.kind {
-            RETRY if !s.outstanding.is_empty() => s.on_retry::<A>(ctx),
+            RETRY => {
+                // A Guess client acts only on its armed deadline, which has
+                // now fired and must not be cancelled again.
+                if A::RETRY == Retry::Guess {
+                    if s.retry_timer != Some(timer.id) {
+                        return;
+                    }
+                    s.retry_timer = None;
+                }
+                if !s.outstanding.is_empty() {
+                    s.on_retry::<A>(ctx);
+                }
+            }
             NUDGE => {
                 s.nudge_armed = false;
                 s.resend_all::<A>(ctx, false);

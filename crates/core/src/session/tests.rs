@@ -188,6 +188,43 @@ fn guess_rotates_only_on_the_second_silent_expiry() {
 }
 
 #[test]
+fn guess_retry_timer_of_a_completed_command_never_fires() {
+    // Command 1 completes at 1 ms and command 2 is issued at once; 0
+    // stays silent from then on. The deadline armed for command 1 (due at
+    // 100 ms) is cancelled, so neither resends nor strikes: the live
+    // deadline resends at 101 ms and rotates to 1 only at 201 ms.
+    let scripts = vec![
+        vec![Answer::Reply(KvResponse::Ok), Answer::Silent],
+        vec![Answer::Silent],
+    ];
+    let mut sim = world(scripts, leader_client(2, 2, WorkloadMode::Closed));
+    sim.run_until(Time(150_000));
+    assert_eq!(session(&sim).completed, 1);
+    assert_eq!(seen(&sim, 0), [500, 1_500, 101_500]);
+    assert!(seen(&sim, 1).is_empty());
+    assert_eq!(sim.metrics().timer_fires, 1);
+    sim.run_until(Time(250_000));
+    assert_eq!(seen(&sim, 1), [201_500]);
+    assert_eq!(sim.metrics().timer_fires, 2);
+}
+
+/// Documents the PBFT exception on [`Retry::Broadcast`]; goes away when
+/// that path also keeps a single armed deadline.
+#[test]
+fn broadcast_still_arms_one_retry_timer_per_issue() {
+    // One replica (quorum 1) answers command 1 and then stays silent. The
+    // timer armed for command 1 still fires at 150 ms and resends command
+    // 2, a millisecond before command 2's own timer does the same.
+    let scripts = vec![vec![Answer::Reply(KvResponse::Ok), Answer::Silent]];
+    let client: Client<Bft> = Client::new(1, 1, 2, KvMix::default(), 1, WorkloadMode::Closed);
+    let mut sim = world(scripts, client);
+    sim.run_until(Time(200_000));
+    assert_eq!(session(&sim).completed, 1);
+    assert_eq!(seen(&sim, 0), [500, 1_500, 150_500, 151_500]);
+    assert_eq!(sim.metrics().timer_fires, 2);
+}
+
+#[test]
 fn any_reply_or_redirect_resets_the_strikes() {
     // Replies and redirects for unknown sequence numbers still show the
     // guess is alive, so each clears the strike count.
@@ -248,7 +285,7 @@ fn open_loop_issue_stops_at_total() {
     let client = leader_client(1, 5, WorkloadMode::Open { interval_us: 1_000 });
     let mut sim = world(scripts, client);
     // The issue timer is not re-armed after the fifth command, so the
-    // run drains once the leaked retry timers have fired.
+    // run drains once the last retry deadline has fired.
     assert_eq!(sim.run_until(Time(10_000_000)), RunOutcome::Quiescent);
     let s = session(&sim);
     assert_eq!(s.history.len(), 5);

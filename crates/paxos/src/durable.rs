@@ -213,7 +213,7 @@ mod tests {
                             limit: 16,
                         },
                     ),
-                ]),
+                ].into()),
             },
             WalRecord::TxnDecision {
                 key: "~dec.t100.3".into(),
@@ -248,7 +248,7 @@ mod tests {
                 value: "v".into(),
             }),
             cmd(2, 1, KvCommand::Get { key: "k".into() }),
-        ]));
+        ].into()));
         let blob = encode_snapshot(&m, 23);
         let (restored, applied_len) = decode_snapshot(&blob).expect("decodes");
         assert_eq!(applied_len, 23);

@@ -19,6 +19,7 @@
 //! a different quorum test, exactly as Howard, Malkhi & Spiegelman observe.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use consensus_core::driver::{BatchConfig, ClusterDriver, DecidedEntry, DriverConfig};
 use consensus_core::durable::DurablePlane;
@@ -51,8 +52,10 @@ pub enum MpOp {
     Cmd(Command<KvCommand>),
     /// Several client commands decided as one slot (leader-side batching).
     /// Applied in order; always length ≥ 2 (singletons stay [`MpOp::Cmd`] so
-    /// unbatched runs are byte-identical on the wire).
-    Batch(Vec<Command<KvCommand>>),
+    /// unbatched runs are byte-identical on the wire). Shared, so the
+    /// accepted copy, the log entry and every `Accept`/`Decide` of one slot
+    /// hold one allocation.
+    Batch(Arc<[Command<KvCommand>]>),
 }
 
 impl CmdOp for MpOp {
@@ -70,7 +73,7 @@ impl CmdOp for MpOp {
 
     fn from_commands(mut cmds: Vec<Command<KvCommand>>, batch: bool) -> Option<Self> {
         Some(if batch {
-            MpOp::Batch(cmds)
+            MpOp::Batch(cmds.into())
         } else {
             cmds.pop().map_or(MpOp::Noop, MpOp::Cmd)
         })

@@ -83,7 +83,7 @@ fn multi_paxos_wal_records_are_pinned() {
                             limit: 16,
                         },
                     ),
-                ]),
+                ].into()),
             },
             concat!(
                 "020000002a000000000000000300000000000000010000000200000002000000",
